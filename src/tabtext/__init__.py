@@ -14,7 +14,6 @@ from .serializer import (
     CombineMode,
     MissingPolicy,
     SerializationConfig,
-    combine_sources,
     serialize_cell,
     serialize_row,
 )
@@ -24,7 +23,6 @@ from .embedding import (
     LocalModelBackend,
     RemoteBackend,
     chunk_text,
-    embed_entity_sources,
     embed_text,
     make_backend,
 )

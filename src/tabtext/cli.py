@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 import numpy as np
@@ -16,10 +17,9 @@ import numpy as np
 from .baseline import FeatureMatrix, build_baseline_features
 from .data_model import load_schema, parse_table
 from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, embed_text, make_backend
-from .errors import BackendError, TabTextError, ValidationError
+from .errors import BackendError, StageError, TabTextError, ValidationError
 from .evaluation import SplitSpec, evaluate_features
 from .pipeline import (
-    build_tabtext_features,
     load_labels,
     load_run_config,
     load_sources,
@@ -33,7 +33,7 @@ from .serializer import (
     serialize_row,
 )
 from .synthetic import CorpusSpec, generate
-from .temporal import TimedEmbedding, aggregate_timed
+from .temporal import aggregate_entity
 
 
 @click.group()
@@ -151,35 +151,38 @@ def aggregate(in_path, out_path, normalize):
     """Aggregate per-row embeddings into one vector per entity."""
     lines = Path(in_path).read_text(encoding="utf-8").splitlines()
     dim = len(lines[0].split(",")) - 2
-    grouped: dict[str, list[tuple[str, np.ndarray]]] = {}
-    order: list[str] = []
-    for line in lines[1:]:
+    grouped: dict[str, list[tuple[Optional[float], np.ndarray]]] = {}
+    for number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
-        entity, timestamp = fields[0], fields[1]
-        vector = np.array([float(v) for v in fields[2:]], dtype=np.float64)
-        if entity not in grouped:
-            order.append(entity)
-        grouped.setdefault(entity, []).append((timestamp, vector))
+        try:
+            timestamp = float(fields[1]) if fields[1] else None
+            vector = np.array([float(v) for v in fields[2:]], dtype=np.float64)
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"{in_path} line {number}: {exc}") from exc
+        if len(vector) != dim:
+            raise ValidationError(
+                f"{in_path} line {number}: {len(vector)} values, header has {dim}"
+            )
+        grouped.setdefault(fields[0], []).append((timestamp, vector))
 
+    source = Path(in_path).name
     rows = []
-    for entity in order:
-        entries = grouped[entity]
-        if all(t == "" for t, _ in entries):
-            if len(entries) > 1:
-                raise ValidationError(
-                    f"entity '{entity}' has {len(entries)} static rows; expected one"
+    for entity, entries in grouped.items():
+        try:
+            rows.append(
+                aggregate_entity(
+                    [(source, entries)], CombineMode.SEPARATE, normalize, entity
                 )
-            rows.append(entries[0][1])
-        else:
-            series = [TimedEmbedding(float(t), v) for t, v in entries]
-            rows.append(aggregate_timed(series, normalize=normalize))
+            )
+        except (StageError, ValueError) as exc:
+            raise ValidationError(f"{in_path}: entity '{entity}': {exc}") from exc
     matrix = FeatureMatrix(
-        entity_ids=order,
+        entity_ids=list(grouped),
         feature_names=[f"e{i}" for i in range(dim)],
         values=np.stack(rows),
     )
     matrix.to_csv(out_path)
-    click.echo(f"wrote {len(order)} entity vectors to {out_path}")
+    click.echo(f"wrote {len(grouped)} entity vectors to {out_path}")
 
 
 @cli.command()
@@ -222,7 +225,9 @@ def ablate(config_path, seed, train_fraction, backend, grid_extended):
     config = load_run_config(config_path, backend_name=backend)
     if seed is not None or train_fraction is not None:
         config.split = SplitSpec(
-            train_fraction=train_fraction or config.split.train_fraction,
+            train_fraction=(
+                train_fraction if train_fraction is not None else config.split.train_fraction
+            ),
             seed=seed if seed is not None else config.split.seed,
             stratified=config.split.stratified,
         )

@@ -15,13 +15,14 @@ import hashlib
 import os
 import re
 import tempfile
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
 from .errors import BackendError
-from .serializer import CombineMode
 
 DEFAULT_DIM = 768
 DEFAULT_MAX_CHARS = 510
@@ -38,26 +39,21 @@ def chunk_text(text: str, max_chars: int = DEFAULT_MAX_CHARS) -> list[str]:
     """
     if max_chars < 1:
         raise ValueError("max_chars must be >= 1")
-    pieces: list[str] = []
-    for token in text.split():
-        while len(token) > max_chars:
-            pieces.append(token[:max_chars])
-            token = token[max_chars:]
-        if token:
-            pieces.append(token)
-
+    pieces = text.split()
+    if pieces and max(map(len, pieces)) > max_chars:
+        pieces = [
+            token[i : i + max_chars]
+            for token in pieces
+            for i in range(0, len(token), max_chars)
+        ]
+    # pieces[a:b] joined by single spaces is ends[b] - ends[a] - 1 characters long
+    ends = list(accumulate((len(piece) + 1 for piece in pieces), initial=0))
     chunks: list[str] = []
-    current = ""
-    for piece in pieces:
-        if not current:
-            current = piece
-        elif len(current) + 1 + len(piece) <= max_chars:
-            current += " " + piece
-        else:
-            chunks.append(current)
-            current = piece
-    if current:
-        chunks.append(current)
+    start = 0
+    while start < len(pieces):
+        stop = bisect_right(ends, ends[start] + max_chars + 1) - 1
+        chunks.append(" ".join(pieces[start:stop]))
+        start = stop
     return chunks
 
 
@@ -143,14 +139,21 @@ class RemoteBackend:
             raise BackendError(
                 f"embedding service returned HTTP {resp.status_code}"
             )
-        payload = resp.json()
-        if payload.get("dim") != self.dim:
-            raise BackendError(
-                f"dimension mismatch: expected {self.dim}, got {payload.get('dim')}"
-            )
-        matrix = np.asarray(payload["embeddings"], dtype=np.float64)
+        try:
+            payload = resp.json()
+            dim = payload["dim"]
+            raw = np.asarray(payload["embeddings"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise BackendError(f"malformed embedding service reply: {exc!r}") from exc
+        if dim != self.dim:
+            raise BackendError(f"dimension mismatch: expected {self.dim}, got {dim}")
+        if raw.dtype.kind not in "iuf":
+            raise BackendError("embedding service reply holds non-numeric embeddings")
+        matrix = raw.astype(np.float64)
         if matrix.shape != (len(texts), self.dim):
             raise BackendError(f"bad embeddings shape {matrix.shape}")
+        if not np.all(np.isfinite(matrix)):
+            raise BackendError("embedding service reply holds non-finite embeddings")
         return matrix
 
 
@@ -244,23 +247,6 @@ def embed_text(text: str, backend: EmbeddingBackend) -> np.ndarray:
         return backend.embed_batch([text])[0]
     chunks = chunk_text(text, backend.max_chars)
     return backend.embed_batch(chunks).mean(axis=0)
-
-
-def embed_entity_sources(
-    per_source_texts: Sequence[str],
-    mode: CombineMode,
-    backend: EmbeddingBackend,
-) -> np.ndarray:
-    """Embed one entity's per-source sentences.
-
-    Separate mode concatenates the K per-source embeddings (dimension K*dim);
-    single-paragraph mode embeds the space-joined paragraph (dimension dim).
-    """
-    if mode is CombineMode.SINGLE_PARAGRAPH:
-        return embed_text(" ".join(per_source_texts), backend)
-    if not per_source_texts:
-        raise ValueError("separate mode requires at least one source")
-    return np.concatenate([embed_text(t, backend) for t in per_source_texts])
 
 
 def make_backend(

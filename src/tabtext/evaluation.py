@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
-from ._kernels import logistic_gd
 from .baseline import FeatureMatrix
 from .errors import StageError, ValidationError
 from .serializer import CombineMode, MissingPolicy, SerializationConfig
@@ -77,6 +75,17 @@ def split_hash(test_ids: Sequence[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve via Mann-Whitney rank summation.
 
@@ -89,9 +98,26 @@ def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUROC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    ranks = average_ranks(scores)
     rank_sum = float(np.sum(ranks[labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _logistic_gd(
+    X: np.ndarray, y: np.ndarray, steps: int, lr: float, l2: float
+) -> tuple[np.ndarray, float]:
+    n, d = X.shape
+    w = np.zeros(d, dtype=np.float64)
+    b = 0.0
+    for _ in range(steps):
+        z = X @ w + b
+        p = 1.0 / (1.0 + np.exp(-z))
+        r = p - y
+        grad_w = X.T @ r / n + l2 * w
+        grad_b = np.sum(r) / n
+        w -= lr * grad_w
+        b -= lr * grad_b
+    return w, b
 
 
 @dataclass
@@ -133,10 +159,10 @@ def fit_linear_classifier(
     std = X.std(axis=0)
     scale = np.where(std > 0, std, 1.0)
     Xs = (X - mean) / scale
-    Xs = np.ascontiguousarray(Xs * (std > 0))
-    w, b = logistic_gd(Xs, np.ascontiguousarray(y), steps, lr, l2)
+    Xs = Xs * (std > 0)
+    w, b = _logistic_gd(Xs, y, steps, lr, l2)
     return LinearClassifier(
-        weights=np.asarray(w), bias=float(b), feature_mean=mean, feature_scale=np.where(std > 0, std, 0.0)
+        weights=w, bias=float(b), feature_mean=mean, feature_scale=np.where(std > 0, std, 0.0)
     )
 
 

@@ -205,16 +205,27 @@ def load_sources(config: RunConfig) -> list[tuple[str, TableSchema, list[Row]]]:
 
 
 def load_labels(path: Union[str, Path]) -> tuple[list[str], dict[str, int]]:
-    """Read the entity_id,label file; entity order is file order."""
+    """Read the entity_id,label file; entity order is file order.
+
+    Every entity appears once with a label of 0 or 1; any other line is a
+    ValidationError that names its 1-based line number.
+    """
     ids: list[str] = []
     labels: dict[str, int] = {}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        entity, lab = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 2 or fields[1].strip() not in ("0", "1"):
+            raise ValidationError(
+                f"{path} line {number}: expected 'entity_id,label' with label 0 or 1, got {line!r}"
+            )
+        entity = fields[0]
+        if entity in labels:
+            raise ValidationError(f"{path} line {number}: duplicate entity '{entity}'")
         ids.append(entity)
-        labels[entity] = int(lab)
+        labels[entity] = int(fields[1])
     return ids, labels
 
 
@@ -228,78 +239,71 @@ def build_tabtext_features(
 ) -> FeatureMatrix:
     """Serialize, embed, and aggregate every entity into one feature row.
 
-    Separate mode yields one embedding block per source (concatenated);
-    single-paragraph mode merges all static sources' sentences into one
-    paragraph per entity before embedding, then averages with the per-source
-    time-series aggregates so the dimension stays the backend dimension.
+    ``entity_ids`` is the entity universe: a time-series row outside it is an
+    error, and a static source holds at most one row per entity. Separate mode
+    yields one embedding block per source (concatenated); single-paragraph
+    mode joins all static sources' sentences into one paragraph per entity
+    before embedding, then averages it with the per-source time-series
+    aggregates so the dimension stays the backend dimension.
     """
     universe = list(entity_ids)
+    known = set(universe)
     single = ser_config.combine_sources is CombineMode.SINGLE_PARAGRAPH
 
     # per source: entity -> list of (timestamp, sentence)
-    sentences: list[tuple[str, bool, dict[str, list[tuple[Optional[float], str]]]]] = []
+    grouped: list[tuple[str, bool, dict[str, list[tuple[Optional[float], str]]]]] = []
     for name, schema, rows in sources:
         is_series = schema.time_column is not None
         per_entity: dict[str, list[tuple[Optional[float], str]]] = {}
         for row in rows:
-            text = serialize_row(schema, row, ser_config)
-            per_entity.setdefault(row.entity_id, []).append((row.timestamp, text))
-        sentences.append((name, is_series, per_entity))
+            if is_series and row.entity_id not in known:
+                raise StageError(
+                    "features",
+                    f"entity '{row.entity_id}' in time-series source '{name}' "
+                    "is not in the entity universe",
+                )
+            entries = per_entity.setdefault(row.entity_id, [])
+            if not is_series and entries:
+                raise StageError(
+                    "features",
+                    f"static source '{name}' has multiple rows for entity "
+                    f"'{row.entity_id}'",
+                )
+            entries.append((row.timestamp, serialize_row(schema, row, ser_config)))
+        grouped.append((name, is_series, per_entity))
 
     vectors = []
     zero = np.zeros(backend.dim, dtype=np.float64)
     for entity in universe:
         parts: list[tuple[str, list[tuple[Optional[float], np.ndarray]]]] = []
         static_texts: list[str] = []
-        for name, is_series, per_entity in sentences:
+        for name, is_series, per_entity in grouped:
             entries = per_entity.get(entity, [])
-            if is_series:
-                if entries:
-                    timed = [(t, embed_text(text, backend)) for t, text in entries]
-                else:
-                    timed = [(None, zero)]
-                parts.append((name, timed))
-            elif single:
-                static_texts.append(entries[0][1] if entries else "")
-                if len(entries) > 1:
-                    raise StageError(
-                        "embed",
-                        f"static source '{name}' has {len(entries)} rows for "
-                        f"entity '{entity}'; expected exactly one",
-                    )
-            else:
-                if len(entries) > 1:
-                    raise StageError(
-                        "embed",
-                        f"static source '{name}' has {len(entries)} rows for "
-                        f"entity '{entity}'; expected exactly one",
-                    )
-                text = entries[0][1] if entries else ""
-                parts.append((name, [(None, embed_text(text, backend))]))
-        if single and static_texts:
-            merged = " ".join(static_texts)
-            parts.insert(0, ("static", [(None, embed_text(merged, backend))]))
+            if not is_series:
+                entries = entries or [(None, "")]
+                if single:
+                    static_texts.append(entries[0][1])
+                    continue
+            timed = [(t, embed_text(text, backend)) for t, text in entries]
+            parts.append((name, timed or [(None, zero)]))
+        if static_texts:
+            merged = embed_text(" ".join(static_texts), backend)
+            parts.insert(0, ("static", [(None, merged)]))
         vectors.append(
             aggregate_entity(parts, ser_config.combine_sources, normalize, entity)
         )
 
-    matrix = np.stack(vectors)
     if single:
-        names = [f"text.e{i}" for i in range(matrix.shape[1])]
+        names = [f"text.e{i}" for i in range(backend.dim)]
     else:
-        names = []
-        offset = 0
-        for name, _, _ in sentences:
-            names.extend(f"{name}.e{i}" for i in range(backend.dim))
-            offset += backend.dim
-        names = names[: matrix.shape[1]]
+        names = [f"{name}.e{i}" for name, _, _ in grouped for i in range(backend.dim)]
     label_vec = (
         np.array([labels[e] for e in universe], dtype=np.int64) if labels else None
     )
     return FeatureMatrix(
         entity_ids=universe,
         feature_names=names,
-        values=matrix,
+        values=np.stack(vectors),
         labels=label_vec,
     )
 

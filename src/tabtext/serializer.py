@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .data_model import PLACEHOLDER, CellValue, ColumnSpec, Row, TableSchema
 
@@ -76,17 +76,3 @@ def serialize_row(schema: TableSchema, row: Row, config: SerializationConfig) ->
         return prefix.rstrip()
     return prefix + body
 
-
-def combine_sources(
-    texts: Sequence[tuple[str, str]], config: SerializationConfig
-) -> Union[list[str], str]:
-    """Combine per-source sentences per the configured combination mode.
-
-    ``texts`` must already be in the declared source order. Separate mode
-    returns the sentences unchanged (each gets its own embedding downstream);
-    single-paragraph mode joins them with single spaces.
-    """
-    sentences = [sentence for _, sentence in texts]
-    if config.combine_sources is CombineMode.SINGLE_PARAGRAPH:
-        return " ".join(sentences)
-    return sentences

@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import weighted_sum
 from .errors import StageError
 from .serializer import CombineMode
 
@@ -44,9 +43,7 @@ def aggregate_timed(
             )
 
     order = sorted(range(len(series)), key=lambda i: (series[i].timestamp, i))
-    vectors = np.ascontiguousarray(
-        np.stack([np.asarray(series[i].embedding, dtype=np.float64) for i in order])
-    )
+    vectors = np.stack([np.asarray(series[i].embedding, dtype=np.float64) for i in order])
     weights = np.array([series[i].timestamp for i in order], dtype=np.float64)
 
     total = weights.sum()
@@ -54,7 +51,11 @@ def aggregate_timed(
         if normalize:
             return vectors.mean(axis=0)
         return np.zeros(dim, dtype=np.float64)
-    out = weighted_sum(vectors, weights)
+    # A sequential loop, not ``weights @ vectors``: the BLAS product sums in
+    # another order and changes the low bits of the features.
+    out = np.zeros(dim, dtype=np.float64)
+    for weight, vector in zip(weights, vectors):
+        out += weight * vector
     if normalize:
         out = out / total
     return out

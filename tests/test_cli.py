@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +136,51 @@ def test_unreachable_remote_backend_exit_code(corpus, tmp_path):
 
 def test_bad_flag_usage_is_validation_error():
     assert main(["eval"]) == 1
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    code = "import sys, tabtext.cli; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def write_embeddings(tmp_path, *rows):
+    path = tmp_path / "emb.csv"
+    path.write_text("entity_id,timestamp,e0,e1\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ("p1,,1.0,0.0", "p1,2.0,0.0,1.0"),  # empty and numeric timestamps mixed
+        ("p1,,1.0,0.0", "p1,,0.0,1.0"),  # two static rows
+        ("p1,x,1.0,0.0",),  # timestamp is not a number
+        ("p1,1.0,1.0",),  # fewer values than the header
+    ],
+)
+def test_aggregate_bad_input_is_validation_error(tmp_path, rows, capsys):
+    embeddings = write_embeddings(tmp_path, *rows)
+    assert main(["aggregate", "--in", str(embeddings), "--out", str(tmp_path / "f.csv")]) == 1
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_aggregate_static_and_series_entities(tmp_path):
+    embeddings = write_embeddings(
+        tmp_path, "p1,,0.5,0.25", "p2,1.0,1.0,0.0", "p2,3.0,0.0,1.0"
+    )
+    out = tmp_path / "f.csv"
+    assert main(["aggregate", "--in", str(embeddings), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        "entity_id,e0,e1", "p1,0.5,0.25", "p2,0.25,0.75",
+    ]
+
+
+def test_ablate_train_fraction_zero_is_validation_error(corpus, tmp_path):
+    config = write_config(corpus, tmp_path / "out")
+    assert main(["ablate", "--config", str(config), "--train-fraction", "0"]) == 1

@@ -11,12 +11,10 @@ from tabtext.embedding import (
     HashingBackend,
     RemoteBackend,
     chunk_text,
-    embed_entity_sources,
     embed_text,
     make_backend,
 )
 from tabtext.errors import BackendError
-from tabtext.serializer import CombineMode
 
 
 class StubBackend:
@@ -35,6 +33,26 @@ class StubBackend:
     def embed_batch(self, texts):
         self.calls += 1
         return np.stack([self.vector(t) for t in texts])
+
+
+def greedy_chunks(text, max_chars):
+    """Reference: hard-split long tokens, then add pieces while they fit."""
+    pieces = []
+    for token in text.split():
+        while len(token) > max_chars:
+            pieces.append(token[:max_chars])
+            token = token[max_chars:]
+        if token:
+            pieces.append(token)
+    chunks, current = [], ""
+    for piece in pieces:
+        if current and len(current) + 1 + len(piece) <= max_chars:
+            current += " " + piece
+        else:
+            if current:
+                chunks.append(current)
+            current = piece
+    return chunks + [current] if current else chunks
 
 
 class TestChunkText:
@@ -76,6 +94,7 @@ class TestChunkText:
         assert "".join(chunks).replace(" ", "") == "".join(text.split())
         if text.split() and all(len(t) <= max_chars for t in text.split()):
             assert " ".join(chunks) == " ".join(text.split())
+        assert chunks == greedy_chunks(text, max_chars)
 
 
 class TestEmbedText:
@@ -108,27 +127,6 @@ class TestEmbedText:
         batch = backend.embed_batch(texts)
         for i, text in enumerate(texts):
             np.testing.assert_array_equal(batch[i], backend.embed_batch([text])[0])
-
-
-class TestEmbedEntitySources:
-    def test_separate_concatenates(self):
-        backend = StubBackend(dim=8)
-        out = embed_entity_sources(["A.", "B."], CombineMode.SEPARATE, backend)
-        assert out.shape == (16,)
-        np.testing.assert_array_equal(out[:8], backend.vector("A."))
-
-    def test_single_source_modes_agree(self):
-        backend = StubBackend(dim=8)
-        sep = embed_entity_sources(["A."], CombineMode.SEPARATE, backend)
-        par = embed_entity_sources(["A."], CombineMode.SINGLE_PARAGRAPH, backend)
-        np.testing.assert_array_equal(sep, par)
-
-    def test_single_paragraph_keeps_dimension(self):
-        backend = HashingBackend(dim=768)
-        out = embed_entity_sources(
-            ["A.", "B.", "C."], CombineMode.SINGLE_PARAGRAPH, backend
-        )
-        assert out.shape == (768,)
 
 
 class TestHashingBackend:
@@ -179,6 +177,9 @@ class TestCachingBackend:
 class _Handler(http.server.BaseHTTPRequestHandler):
     dim = 4
     fail = False
+    # "ok", or a malformed reply: "not_json", "no_embeddings", "no_dim",
+    # "strings" (non-numeric values), "ragged" or "null" (a JSON null value).
+    reply = "ok"
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -187,12 +188,21 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        body = json.dumps(
-            {
-                "embeddings": [[float(len(t))] * self.dim for t in payload["texts"]],
-                "dim": self.dim,
-            }
-        ).encode()
+        reply = {
+            "embeddings": [[float(len(t))] * self.dim for t in payload["texts"]],
+            "dim": self.dim,
+        }
+        if self.reply == "no_embeddings":
+            del reply["embeddings"]
+        elif self.reply == "no_dim":
+            del reply["dim"]
+        elif self.reply == "strings":
+            reply["embeddings"] = [["x"] * self.dim for _ in payload["texts"]]
+        elif self.reply == "ragged":
+            reply["embeddings"] = [[1.0] * (i + 1) for i in range(len(payload["texts"]))]
+        elif self.reply == "null":
+            reply["embeddings"][0][0] = None
+        body = b"<html>busy</html>" if self.reply == "not_json" else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -229,6 +239,25 @@ class TestRemoteBackend:
                 RemoteBackend(embed_server, dim=4).embed_batch(["x"])
         finally:
             _Handler.fail = False
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ("not_json", "malformed"),
+            ("no_embeddings", "malformed"),
+            ("no_dim", "malformed"),
+            ("strings", "non-numeric"),
+            ("ragged", "malformed"),
+            ("null", "non-numeric"),
+        ],
+    )
+    def test_malformed_reply_is_backend_error(self, embed_server, reply, message):
+        _Handler.reply = reply
+        try:
+            with pytest.raises(BackendError, match=message):
+                RemoteBackend(embed_server, dim=4).embed_batch(["x", "yy"])
+        finally:
+            _Handler.reply = "ok"
 
     def test_unreachable_is_backend_error(self):
         backend = RemoteBackend("http://127.0.0.1:9/embed", dim=4, timeout=0.5)

@@ -6,6 +6,7 @@ from tabtext.errors import ValidationError
 from tabtext.evaluation import (
     SplitSpec,
     auroc,
+    average_ranks,
     evaluate_features,
     fit_linear_classifier,
     grid_points,
@@ -79,6 +80,27 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(ValidationError):
             SplitSpec(train_fraction=1.0)
+
+
+def brute_force_ranks(values):
+    """O(N^2) oracle: 1 + values below + half of the other values tied."""
+    return [
+        1.0 + sum(w < v for w in values) + (sum(w == v for w in values) - 1) / 2.0
+        for v in values
+    ]
+
+
+class TestAverageRanks:
+    def test_matches_brute_force_oracle_exactly(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            values = rng.integers(0, max(1, n // 3), size=n).astype(np.float64)
+            np.testing.assert_array_equal(average_ranks(values), brute_force_ranks(values))
+
+    def test_ties_and_signed_zero(self):
+        values = np.array([2.0, -0.0, 2.0, 0.0, -1.0])
+        np.testing.assert_array_equal(average_ranks(values), [4.5, 2.5, 4.5, 2.5, 1.0])
 
 
 class TestAuroc:

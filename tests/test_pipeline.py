@@ -1,0 +1,138 @@
+import numpy as np
+import pytest
+
+from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema, parse_table
+from tabtext.embedding import HashingBackend
+from tabtext.errors import StageError, ValidationError
+from tabtext.pipeline import build_tabtext_features, load_labels
+from tabtext.serializer import CombineMode, SerializationConfig
+
+SEPARATE = SerializationConfig(include_meta=False, combine_sources=CombineMode.SEPARATE)
+SINGLE = SerializationConfig(include_meta=False, combine_sources=CombineMode.SINGLE_PARAGRAPH)
+
+
+class RecordingBackend(HashingBackend):
+    """Hashing backend that records every text it is asked to embed."""
+
+    def __init__(self, dim=16):
+        super().__init__(dim=dim)
+        self.texts = []
+
+    def embed_batch(self, texts):
+        self.texts.extend(texts)
+        return super().embed_batch(texts)
+
+
+def static_source(name, column, csv_text):
+    schema = TableSchema(
+        meta=TableMeta(table_title=name),
+        columns=(
+            ColumnSpec(name="id", kind=ColumnKind.CATEGORICAL),
+            ColumnSpec(name=column, kind=ColumnKind.NUMERIC),
+        ),
+        entity_column="id",
+    )
+    return name, schema, parse_table(csv_text, schema)
+
+
+def series_source(csv_text):
+    schema = TableSchema(
+        meta=TableMeta(table_title="vitals"),
+        columns=(
+            ColumnSpec(name="id", kind=ColumnKind.CATEGORICAL),
+            ColumnSpec(name="t", kind=ColumnKind.TIMESTAMP),
+            ColumnSpec(name="hr", kind=ColumnKind.NUMERIC),
+        ),
+        entity_column="id",
+        time_column="t",
+    )
+    return "vitals", schema, parse_table(csv_text, schema)
+
+
+DEMO = static_source("demo", "age", "id,age\np1,50\np2,60\n")
+LABS = static_source("labs", "ldl", "id,ldl\np1,3\np2,4\n")
+VITALS = series_source("id,t,hr\np1,1,80\np1,2,90\np2,1,70\n")
+
+
+def build(sources, config, backend, ids=("p1", "p2")):
+    return build_tabtext_features(sources, list(ids), None, config, backend)
+
+
+class TestCombineModes:
+    def test_single_paragraph_joins_static_texts_with_one_space(self):
+        backend = RecordingBackend()
+        build([DEMO, VITALS, LABS], SINGLE, backend)
+        # per entity: the series rows first, then one paragraph of static texts
+        assert backend.texts == [
+            "hr is 80.", "hr is 90.", "age is 50. ldl is 3.",
+            "hr is 70.", "age is 60. ldl is 4.",
+        ]
+
+    def test_single_paragraph_keeps_backend_dimension(self):
+        backend = HashingBackend(dim=16)
+        features = build([DEMO, VITALS, LABS], SINGLE, backend)
+        assert features.values.shape == (2, backend.dim)
+        assert features.feature_names == [f"text.e{i}" for i in range(16)]
+
+    def test_single_static_source_modes_agree(self):
+        separate = build([DEMO], SEPARATE, HashingBackend(dim=16))
+        single = build([DEMO], SINGLE, HashingBackend(dim=16))
+        np.testing.assert_array_equal(separate.values, single.values)
+
+    def test_separate_concatenates_per_source_blocks(self):
+        backend = HashingBackend(dim=16)
+        features = build([DEMO, LABS], SEPARATE, backend)
+        assert features.values.shape == (2, 32)
+        assert features.feature_names[:2] == ["demo.e0", "demo.e1"]
+        assert features.feature_names[16] == "labs.e0"
+        np.testing.assert_array_equal(
+            features.values[0, 16:], backend.embed_batch(["ldl is 3."])[0]
+        )
+
+    def test_entity_without_rows_gets_zero_block(self):
+        features = build(
+            [DEMO, VITALS], SEPARATE, HashingBackend(dim=16), ids=("p1", "p2", "p3")
+        )
+        np.testing.assert_array_equal(features.values[2], np.zeros(32))
+
+
+class TestConsistency:
+    @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
+    def test_duplicate_static_row_is_error(self, config):
+        demo = static_source("demo", "age", "id,age\np1,50\np1,51\n")
+        with pytest.raises(StageError, match="multiple rows for entity 'p1'"):
+            build([demo, VITALS], config, HashingBackend(dim=16))
+
+    @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
+    def test_series_entity_outside_universe_is_error(self, config):
+        with pytest.raises(StageError, match="'p2'.*not in the entity universe"):
+            build([DEMO, VITALS], config, HashingBackend(dim=16), ids=("p1",))
+
+    def test_static_entity_outside_universe_is_ignored(self):
+        features = build([DEMO], SEPARATE, HashingBackend(dim=16), ids=("p1",))
+        assert features.entity_ids == ["p1"]
+
+
+class TestLoadLabels:
+    def write(self, tmp_path, body):
+        path = tmp_path / "labels.csv"
+        path.write_text("entity_id,label\n" + body)
+        return path
+
+    def test_reads_in_file_order(self, tmp_path):
+        ids, labels = load_labels(self.write(tmp_path, "p2,1\np1,0\n\n"))
+        assert ids == ["p2", "p1"] and labels == {"p2": 1, "p1": 0}
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("p1,1\np1,0\n", 3),  # duplicate entity
+            ("p1,1\np2,7\n", 3),  # label outside {0, 1}
+            ("p1,yes\n", 2),
+            ("p1\n", 2),
+            ("p1,1,0\n", 2),
+        ],
+    )
+    def test_bad_line_is_validation_error(self, tmp_path, body, line):
+        with pytest.raises(ValidationError, match=f"line {line}:"):
+            load_labels(self.write(tmp_path, body))

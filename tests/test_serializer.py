@@ -1,16 +1,13 @@
 import json
 from pathlib import Path
 
-import pytest
 from hypothesis import given, strategies as st
 
 from golden_fixture import GOLDEN_SCHEMA, golden_configs, golden_rows
 from tabtext.data_model import CellValue, ColumnKind, ColumnSpec, TableMeta, TableSchema
 from tabtext.serializer import (
-    CombineMode,
     MissingPolicy,
     SerializationConfig,
-    combine_sources,
     serialize_cell,
     serialize_row,
 )
@@ -166,20 +163,6 @@ class TestSerializeRow:
             timestamp=3.5,
         )
         assert serialize_row(schema, row, config()) == "hr is 80."
-
-
-class TestCombineSources:
-    def test_single_paragraph(self):
-        cfg = SerializationConfig(combine_sources=CombineMode.SINGLE_PARAGRAPH)
-        assert combine_sources([("demographics", "A."), ("vitals", "B.")], cfg) == "A. B."
-
-    def test_separate_is_identity(self):
-        cfg = SerializationConfig(combine_sources=CombineMode.SEPARATE)
-        assert combine_sources([("demographics", "A."), ("vitals", "B.")], cfg) == ["A.", "B."]
-
-    def test_empty_paragraph(self):
-        cfg = SerializationConfig(combine_sources=CombineMode.SINGLE_PARAGRAPH)
-        assert combine_sources([], cfg) == ""
 
 
 def test_golden_sentences_byte_exact():
