@@ -6,7 +6,9 @@ ablate | compare. Exit codes: 0 success, 1 validation error, 2 stage failure,
 """
 from __future__ import annotations
 
+import csv
 import logging
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -14,7 +16,7 @@ from typing import Optional
 import click
 import numpy as np
 
-from .baseline import FeatureMatrix, build_baseline_features
+from .baseline import FeatureMatrix, build_baseline_features, write_float_rows
 from .data_model import load_schema, parse_table
 from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, embed_text, make_backend
 from .errors import BackendError, StageError, TabTextError, ValidationError
@@ -86,23 +88,36 @@ def gen_corpus(out_dir, seed, n_entities, positive_rate, missingness_rate, infor
     click.echo(f"corpus written to {path}")
 
 
+# The sentence TSV holds one record per line with tab-separated fields, so
+# backslashes, tabs and line breaks inside a field are written as escapes.
+_TSV_ESCAPE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_TSV_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_TSV_ESCAPED = re.compile(r"\\([\\tnr])")
+
+
+def _tsv_unescape(field: str) -> str:
+    return _TSV_ESCAPED.sub(lambda m: _TSV_UNESCAPE[m.group(1)], field)
+
+
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--schema", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_ser_options
 def serialize(data, schema, out_path, missing_policy, include_meta, descriptive, combine):
-    """Serialize a table to sentences: entity_id TAB [timestamp TAB] sentence."""
+    """Serialize a table to sentences: entity_id TAB [timestamp TAB] sentence,
+    with backslash, tab, newline and carriage return escaped."""
     table_schema = load_schema(schema)
     rows = parse_table(Path(data).read_bytes(), table_schema)
     config = _ser_config(missing_policy, include_meta, descriptive, combine)
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         for row in rows:
-            sentence = serialize_row(table_schema, row, config)
+            entity = row.entity_id.translate(_TSV_ESCAPE)
+            sentence = serialize_row(table_schema, row, config).translate(_TSV_ESCAPE)
             if table_schema.time_column is not None:
-                handle.write(f"{row.entity_id}\t{row.timestamp!r}\t{sentence}\n")
+                handle.write(f"{entity}\t{row.timestamp!r}\t{sentence}\n")
             else:
-                handle.write(f"{row.entity_id}\t{sentence}\n")
+                handle.write(f"{entity}\t{sentence}\n")
     click.echo(f"wrote {len(rows)} sentences to {out_path}")
 
 
@@ -125,21 +140,22 @@ def embed(in_path, out_path, backend, dim, max_chars, cache, url, model_dir):
     be = make_backend(
         backend, dim=dim, max_chars=max_chars, url=url, model_dir=model_dir, cache_dir=cache
     )
-    lines = Path(in_path).read_text(encoding="utf-8").splitlines()
+    # Split on line feeds only: other Unicode line breaks may sit in a sentence.
+    lines = Path(in_path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         header = ["entity_id", "timestamp"] + [f"e{i}" for i in range(be.dim)]
         handle.write(",".join(header) + "\n")
         for line in lines:
-            fields = line.split("\t")
+            fields = [_tsv_unescape(field) for field in line.split("\t")]
             if len(fields) == 3:
                 entity, timestamp, sentence = fields
             else:
                 entity, sentence = fields[0], fields[-1]
                 timestamp = ""
             vector = embed_text(sentence, be)
-            handle.write(
-                ",".join([entity, timestamp] + [repr(float(v)) for v in vector]) + "\n"
-            )
+            write_float_rows(handle, [(entity, timestamp)], vector.reshape(1, -1))
     click.echo(f"wrote {len(lines)} embeddings to {out_path}")
 
 
@@ -149,21 +165,24 @@ def embed(in_path, out_path, backend, dim, max_chars, cache, url, model_dir):
 @click.option("--normalize/--no-normalize", default=True)
 def aggregate(in_path, out_path, normalize):
     """Aggregate per-row embeddings into one vector per entity."""
-    lines = Path(in_path).read_text(encoding="utf-8").splitlines()
-    dim = len(lines[0].split(",")) - 2
     grouped: dict[str, list[tuple[Optional[float], np.ndarray]]] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        try:
-            timestamp = float(fields[1]) if fields[1] else None
-            vector = np.array([float(v) for v in fields[2:]], dtype=np.float64)
-        except (IndexError, ValueError) as exc:
-            raise ValidationError(f"{in_path} line {number}: {exc}") from exc
-        if len(vector) != dim:
-            raise ValidationError(
-                f"{in_path} line {number}: {len(vector)} values, header has {dim}"
-            )
-        grouped.setdefault(fields[0], []).append((timestamp, vector))
+    with open(in_path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        dim = len(next(reader, [])) - 2
+        if dim < 0:
+            raise ValidationError(f"{in_path}: header needs entity_id and timestamp")
+        for fields in reader:
+            number = reader.line_num
+            try:
+                timestamp = float(fields[1]) if fields[1] else None
+                vector = np.array([float(v) for v in fields[2:]], dtype=np.float64)
+            except (IndexError, ValueError) as exc:
+                raise ValidationError(f"{in_path} line {number}: {exc}") from exc
+            if len(vector) != dim:
+                raise ValidationError(
+                    f"{in_path} line {number}: {len(vector)} values, header has {dim}"
+                )
+            grouped.setdefault(fields[0], []).append((timestamp, vector))
 
     source = Path(in_path).name
     rows = []

@@ -78,11 +78,11 @@ def test_criterion_1_serialization_goldens():
 def test_criterion_2_chunking_property_suite():
     with criterion(2, "chunking properties over 10,000 random strings", 10.0):
         rng = np.random.default_rng(2024)
-        alphabet = list("abcdefghij XY.;\t\n  ")
+        alphabet = np.array(list("abcdefghij XY.;\t\n  "))
         max_chars = 510
         for _ in range(10_000):
             length = int(rng.integers(0, 5001))
-            text = "".join(rng.choice(alphabet, size=length))
+            text = "".join(rng.choice(alphabet, size=length).tolist())
             chunks = chunk_text(text, max_chars)
             assert all(len(c) <= max_chars for c in chunks)
             # whitespace-normalized reconstruction; hard splits only insert

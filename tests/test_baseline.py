@@ -1,7 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 from tabtext.baseline import (
+    _BLOCK_ROWS,
     FeatureMatrix,
     SERIES_STATS,
     build_baseline_features,
@@ -235,3 +238,88 @@ class TestFeatureMatrix:
         loaded = FeatureMatrix.from_csv(path)
         assert loaded.labels is None
         np.testing.assert_array_equal(loaded.values, matrix.values)
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_csv_round_trip_of_ids_that_need_quoting(self, tmp_path, labelled):
+        ids = ["a,b", 'say "hi"', "x\ny", "plain"]
+        matrix = FeatureMatrix(
+            entity_ids=ids,
+            feature_names=["f,1", "f2"],
+            values=np.arange(8, dtype=np.float64).reshape(4, 2),
+            labels=np.array([0, 1, 1, 0]) if labelled else None,
+        )
+        path = tmp_path / "features.csv"
+        matrix.to_csv(path)
+        assert path.read_text().splitlines()[-1].startswith("plain,")
+        loaded = FeatureMatrix.from_csv(path)
+        assert loaded.entity_ids == ids
+        assert loaded.feature_names == ["f,1", "f2"]
+        np.testing.assert_array_equal(loaded.values, matrix.values)
+        if labelled:
+            np.testing.assert_array_equal(loaded.labels, matrix.labels)
+        else:
+            assert loaded.labels is None
+
+
+def reference_csv(matrix: FeatureMatrix) -> str:
+    """The writer that formats every cell with repr(float(v)), kept as the
+    reference that FeatureMatrix.to_csv must match byte for byte."""
+    out = io.StringIO()
+    header = ["entity_id"]
+    if matrix.labels is not None:
+        header.append("label")
+    header.extend(matrix.feature_names)
+    out.write(",".join(header) + "\n")
+    for i, entity in enumerate(matrix.entity_ids):
+        fields = [entity]
+        if matrix.labels is not None:
+            fields.append(str(int(matrix.labels[i])))
+        fields.extend(repr(float(v)) for v in matrix.values[i])
+        out.write(",".join(fields) + "\n")
+    return out.getvalue()
+
+
+EDGE_VALUES = np.array([-0.0, 5e-324, -1e-310, 1e300, -1e300, 0.1, -1 / 3, 1.0, 2.5e-8])
+
+
+def random_matrix(rng, n, d, density, labelled):
+    values = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-5, 6, size=(n, d))
+    values[rng.random((n, d)) >= density] = 0.0
+    edges = rng.random((n, d)) < 0.05
+    values[edges] = rng.choice(EDGE_VALUES, size=int(edges.sum()))
+    return FeatureMatrix(
+        entity_ids=[f"e{i:04d}" for i in range(n)],
+        feature_names=[f"f{j}" for j in range(d)],
+        values=values,
+        labels=rng.integers(0, 2, size=n) if labelled else None,
+    )
+
+
+class TestToCsvMatchesReference:
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("density", [0.0, 0.03, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (0, 4),
+            (1, 1),
+            (3, 0),
+            (_BLOCK_ROWS - 1, 3),
+            (_BLOCK_ROWS, 1),
+            (_BLOCK_ROWS + 1, 7),
+            (2 * _BLOCK_ROWS + 5, 40),
+        ],
+    )
+    def test_bytes_equal_reference(self, tmp_path, n, d, density, labelled):
+        rng = np.random.default_rng([n, d, int(density * 100), labelled])
+        matrix = random_matrix(rng, n, d, density, labelled)
+        path = tmp_path / "features.csv"
+        matrix.to_csv(path)
+        assert path.read_bytes() == reference_csv(matrix).encode("utf-8")
+
+    def test_all_edge_values_in_one_row(self, tmp_path):
+        matrix = FeatureMatrix(["e"], [f"f{j}" for j in range(len(EDGE_VALUES))], [EDGE_VALUES])
+        path = tmp_path / "features.csv"
+        matrix.to_csv(path)
+        assert path.read_text() == reference_csv(matrix)
+        assert path.read_text().splitlines()[1].startswith("e,-0.0,5e-324,-1e-310,1e+300,")

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +9,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from tabtext.baseline import FeatureMatrix
 from tabtext.cli import main
+from tabtext.data_model import load_schema, parse_table
+from tabtext.embedding import HashingBackend, embed_text
+from tabtext.serializer import SerializationConfig, serialize_row
 from tabtext.synthetic import CorpusSpec, generate
 
 
@@ -170,6 +176,13 @@ def test_aggregate_bad_input_is_validation_error(tmp_path, rows, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_aggregate_empty_file_is_validation_error(tmp_path, capsys):
+    embeddings = tmp_path / "emb.csv"
+    embeddings.write_text("")
+    assert main(["aggregate", "--in", str(embeddings), "--out", str(tmp_path / "f.csv")]) == 1
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_aggregate_static_and_series_entities(tmp_path):
     embeddings = write_embeddings(
         tmp_path, "p1,,0.5,0.25", "p2,1.0,1.0,0.0", "p2,3.0,0.0,1.0"
@@ -184,3 +197,102 @@ def test_aggregate_static_and_series_entities(tmp_path):
 def test_ablate_train_fraction_zero_is_validation_error(corpus, tmp_path):
     config = write_config(corpus, tmp_path / "out")
     assert main(["ablate", "--config", str(config), "--train-fraction", "0"]) == 1
+
+
+def test_aggregate_reads_quoted_entity_ids(tmp_path):
+    embeddings = write_embeddings(tmp_path, '"a,b",,0.5,0.25', '"x\ny",1.0,1.0,0.0')
+    out = tmp_path / "f.csv"
+    assert main(["aggregate", "--in", str(embeddings), "--out", str(out)]) == 0
+    assert FeatureMatrix.from_csv(out).entity_ids == ["a,b", "x\ny"]
+
+
+def test_embed_output_matches_repr_of_every_value(corpus, tmp_path):
+    sentences = tmp_path / "vitals.tsv"
+    assert main(
+        [
+            "serialize",
+            "--data", str(corpus / "vitals.csv"),
+            "--schema", str(corpus / "vitals.schema.yaml"),
+            "--out", str(sentences),
+        ]
+    ) == 0
+    embeddings = tmp_path / "emb.csv"
+    assert main(["embed", "--in", str(sentences), "--out", str(embeddings), "--dim", "32"]) == 0
+    backend = HashingBackend(dim=32)
+    expected = ["entity_id,timestamp," + ",".join(f"e{i}" for i in range(32))]
+    for line in sentences.read_text().splitlines():
+        entity, timestamp, sentence = line.split("\t")
+        vector = embed_text(sentence, backend)
+        expected.append(",".join([entity, timestamp] + [repr(float(v)) for v in vector]))
+    assert embeddings.read_text() == "\n".join(expected) + "\n"
+
+
+NOTES_SCHEMA = """\
+meta: {table_title: Notes}
+entity_column: id
+columns:
+  - {name: id, kind: categorical}
+  - {name: note, kind: free_text}
+"""
+
+
+def test_serialize_embed_keeps_tabs_and_line_breaks(tmp_path):
+    schema_path = tmp_path / "notes.schema.yaml"
+    schema_path.write_text(NOTES_SCHEMA)
+    data = tmp_path / "notes.csv"
+    data.write_text(
+        'id,note\n'
+        'p1,"first line\nsecond\tcolumn"\n'
+        '"p,2","back\\slash \\t not a tab\r\nend"\n'
+        'p3,plain\u2028text\n'
+    )
+    sentences = tmp_path / "notes.tsv"
+    assert main(
+        ["serialize", "--data", str(data), "--schema", str(schema_path), "--out", str(sentences)]
+    ) == 0
+    assert len(sentences.read_text().split("\n")) == 4  # three records, final newline
+    embeddings = tmp_path / "emb.csv"
+    assert main(["embed", "--in", str(sentences), "--out", str(embeddings), "--dim", "32"]) == 0
+
+    schema = load_schema(schema_path)
+    rows = parse_table(data.read_bytes(), schema)
+    with open(embeddings, encoding="utf-8", newline="") as handle:
+        records = list(csv.reader(handle))[1:]
+    assert [r[0] for r in records] == [row.entity_id for row in rows] == ["p1", "p,2", "p3"]
+    backend = HashingBackend(dim=32)
+    for row, record in zip(rows, records):
+        sentence = serialize_row(schema, row, SerializationConfig())
+        assert [float(v) for v in record[2:]] == embed_text(sentence, backend).tolist()
+
+
+# sha256 of the feature CSVs that `compare` writes for `gen-corpus
+# --n-entities 150 --seed 0` under the default configuration. A change to a
+# writer that alters any output byte fails here.
+COMPARE_150_DIGESTS = {
+    "tabtext_features.csv": "1106a520df428a4aae88131066bd903cfc6a36f8c842473c3f5a350e2fede63d",
+    "baseline_features.csv": "7fe4f973ce953a9153774f71af44da473b5972fce068eb51df4f1eaec608c126",
+}
+
+
+def test_compare_feature_csv_bytes_are_stable(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus), "--n-entities", "150", "--seed", "0"]) == 0
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        yaml.safe_dump(
+            {
+                "sources": [
+                    {"data": "corpus/demographics.csv", "schema": "corpus/demographics.schema.yaml"},
+                    {"data": "corpus/vitals.csv", "schema": "corpus/vitals.schema.yaml"},
+                ],
+                "labels": "corpus/labels.csv",
+                "output_dir": "out",
+            }
+        )
+    )
+    assert main(["compare", "--config", str(config)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in COMPARE_150_DIGESTS
+    }
+    assert digests == COMPARE_150_DIGESTS
