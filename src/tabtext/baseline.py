@@ -57,7 +57,7 @@ class FeatureMatrix:
             leads = list(zip(self.entity_ids, map(str, self.labels.tolist())))
         header.extend(self.feature_names)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(",".join(map(csv_field, header)) + "\n")
+            handle.write(",".join(map(_csv_field, header)) + "\n")
             write_float_rows(handle, leads, self.values)
 
     @staticmethod
@@ -83,7 +83,7 @@ class FeatureMatrix:
         )
 
 
-def csv_field(text: str) -> str:
+def _csv_field(text: str) -> str:
     """One CSV field, quoted only when it holds a comma, a quote or a line
     break, as ``csv.QUOTE_MINIMAL`` does."""
     if any(c in text for c in ',"\r\n'):
@@ -108,7 +108,7 @@ def write_float_rows(
         bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
         cols = cols.tolist()
         for i, lead in enumerate(leads[start : start + len(block)]):
-            fields = [*map(csv_field, lead), *template]
+            fields = [*map(_csv_field, lead), *template]
             offset = len(lead)
             for j in range(bounds[i], bounds[i + 1]):
                 fields[offset + cols[j]] = texts[j]

@@ -172,15 +172,14 @@ def aggregate(in_path, out_path, normalize):
         if dim < 0:
             raise ValidationError(f"{in_path}: header needs entity_id and timestamp")
         for fields in reader:
-            number = reader.line_num
             try:
                 timestamp = float(fields[1]) if fields[1] else None
                 vector = np.array([float(v) for v in fields[2:]], dtype=np.float64)
             except (IndexError, ValueError) as exc:
-                raise ValidationError(f"{in_path} line {number}: {exc}") from exc
+                raise ValidationError(f"{in_path} line {reader.line_num}: {exc}") from exc
             if len(vector) != dim:
                 raise ValidationError(
-                    f"{in_path} line {number}: {len(vector)} values, header has {dim}"
+                    f"{in_path} line {reader.line_num}: {len(vector)} values, header has {dim}"
                 )
             grouped.setdefault(fields[0], []).append((timestamp, vector))
 
