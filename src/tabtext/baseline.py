@@ -7,20 +7,18 @@ here on purpose; keeping them is exactly what the text pipeline adds.
 """
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .data_model import CellValue, ColumnKind, Row, TableSchema
 from .errors import StageError
+from .formats import read_features, write_features
 
 SERIES_STATS = ("mean", "min", "max", "variance", "average_change", "count")
-# Rows that write_float_rows formats at a time.
-_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -47,72 +45,12 @@ class FeatureMatrix:
                 raise ValueError("labels length does not match entity count")
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        """Write the interchange CSV: entity_id[,label],features; shortest
-        round-trip float form, fields quoted only where needed."""
-        header = ["entity_id"]
-        if self.labels is None:
-            leads = [(entity,) for entity in self.entity_ids]
-        else:
-            header.append("label")
-            leads = list(zip(self.entity_ids, map(str, self.labels.tolist())))
-        header.extend(self.feature_names)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(",".join(map(_csv_field, header)) + "\n")
-            write_float_rows(handle, leads, self.values)
+        """Write the feature CSV (see tabtext.formats)."""
+        write_features(path, self.entity_ids, self.feature_names, self.values, self.labels)
 
     @staticmethod
     def from_csv(path: Union[str, Path]) -> "FeatureMatrix":
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, [])
-            has_label = len(header) > 1 and header[1] == "label"
-            start = 2 if has_label else 1
-            names = header[start:]
-            ids, labels, rows = [], [], []
-            for fields in reader:
-                ids.append(fields[0])
-                if has_label:
-                    labels.append(int(fields[1]))
-                rows.append([float(v) for v in fields[start:]])
-        values = np.array(rows, dtype=np.float64).reshape(len(ids), len(names))
-        return FeatureMatrix(
-            entity_ids=ids,
-            feature_names=names,
-            values=values,
-            labels=np.array(labels, dtype=np.int64) if has_label else None,
-        )
-
-
-def _csv_field(text: str) -> str:
-    """One CSV field, quoted only when it holds a comma, a quote or a line
-    break, as ``csv.QUOTE_MINIMAL`` does."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def write_float_rows(
-    handle: TextIO, leads: Sequence[Sequence[str]], values: np.ndarray
-) -> None:
-    """Write one CSV line per row of ``values``: the row's ``leads`` fields,
-    then its values in shortest round-trip form (``repr``).
-
-    Zero cells share one "0.0" string; only non-zero and -0.0 cells are
-    formatted, a block of rows at a time.
-    """
-    template = ["0.0"] * values.shape[1]
-    for start in range(0, len(values), _BLOCK_ROWS):
-        block = values[start : start + _BLOCK_ROWS]
-        rows, cols = np.nonzero((block != 0) | np.signbit(block))
-        texts = [repr(v) for v in block[rows, cols].tolist()]
-        bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
-        cols = cols.tolist()
-        for i, lead in enumerate(leads[start : start + len(block)]):
-            fields = [*map(_csv_field, lead), *template]
-            offset = len(lead)
-            for j in range(bounds[i], bounds[i + 1]):
-                fields[offset + cols[j]] = texts[j]
-            handle.write(",".join(fields) + "\n")
+        return FeatureMatrix(*read_features(path))
 
 
 def encode_categorical(

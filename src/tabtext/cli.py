@@ -6,23 +6,21 @@ ablate | compare. Exit codes: 0 success, 1 validation error, 2 stage failure,
 """
 from __future__ import annotations
 
-import csv
 import logging
-import re
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 import click
 import numpy as np
 
-from .baseline import FeatureMatrix, build_baseline_features, write_float_rows
+from .baseline import FeatureMatrix, build_baseline_features
 from .data_model import load_schema, parse_table
 from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, embed_text, make_backend
 from .errors import BackendError, StageError, TabTextError, ValidationError
 from .evaluation import SplitSpec, evaluate_features
+from .formats import load_labels, read_embeddings, read_sentences, write_embeddings, write_sentences
 from .pipeline import (
-    load_labels,
     load_run_config,
     load_sources,
     run_compare,
@@ -88,36 +86,20 @@ def gen_corpus(out_dir, seed, n_entities, positive_rate, missingness_rate, infor
     click.echo(f"corpus written to {path}")
 
 
-# The sentence TSV holds one record per line with tab-separated fields, so
-# backslashes, tabs and line breaks inside a field are written as escapes.
-_TSV_ESCAPE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
-_TSV_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-_TSV_ESCAPED = re.compile(r"\\([\\tnr])")
-
-
-def _tsv_unescape(field: str) -> str:
-    return _TSV_ESCAPED.sub(lambda m: _TSV_UNESCAPE[m.group(1)], field)
-
-
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--schema", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_ser_options
 def serialize(data, schema, out_path, missing_policy, include_meta, descriptive, combine):
-    """Serialize a table to sentences: entity_id TAB [timestamp TAB] sentence,
-    with backslash, tab, newline and carriage return escaped."""
+    """Serialize a table to a sentence TSV, one line per row."""
     table_schema = load_schema(schema)
     rows = parse_table(Path(data).read_bytes(), table_schema)
     config = _ser_config(missing_policy, include_meta, descriptive, combine)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        for row in rows:
-            entity = row.entity_id.translate(_TSV_ESCAPE)
-            sentence = serialize_row(table_schema, row, config).translate(_TSV_ESCAPE)
-            if table_schema.time_column is not None:
-                handle.write(f"{entity}\t{row.timestamp!r}\t{sentence}\n")
-            else:
-                handle.write(f"{entity}\t{sentence}\n")
+    write_sentences(
+        out_path,
+        ((row.entity_id, row.timestamp, serialize_row(table_schema, row, config)) for row in rows),
+    )
     click.echo(f"wrote {len(rows)} sentences to {out_path}")
 
 
@@ -140,23 +122,9 @@ def embed(in_path, out_path, backend, dim, max_chars, cache, url, model_dir):
     be = make_backend(
         backend, dim=dim, max_chars=max_chars, url=url, model_dir=model_dir, cache_dir=cache
     )
-    # Split on line feeds only: other Unicode line breaks may sit in a sentence.
-    lines = Path(in_path).read_text(encoding="utf-8").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        header = ["entity_id", "timestamp"] + [f"e{i}" for i in range(be.dim)]
-        handle.write(",".join(header) + "\n")
-        for line in lines:
-            fields = [_tsv_unescape(field) for field in line.split("\t")]
-            if len(fields) == 3:
-                entity, timestamp, sentence = fields
-            else:
-                entity, sentence = fields[0], fields[-1]
-                timestamp = ""
-            vector = embed_text(sentence, be)
-            write_float_rows(handle, [(entity, timestamp)], vector.reshape(1, -1))
-    click.echo(f"wrote {len(lines)} embeddings to {out_path}")
+    records = read_sentences(in_path)
+    write_embeddings(out_path, be.dim, ((e, t, embed_text(s, be)) for e, t, s in records))
+    click.echo(f"wrote {len(records)} embeddings to {out_path}")
 
 
 @cli.command()
@@ -165,39 +133,18 @@ def embed(in_path, out_path, backend, dim, max_chars, cache, url, model_dir):
 @click.option("--normalize/--no-normalize", default=True)
 def aggregate(in_path, out_path, normalize):
     """Aggregate per-row embeddings into one vector per entity."""
-    grouped: dict[str, list[tuple[Optional[float], np.ndarray]]] = {}
-    with open(in_path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        dim = len(next(reader, [])) - 2
-        if dim < 0:
-            raise ValidationError(f"{in_path}: header needs entity_id and timestamp")
-        for fields in reader:
-            try:
-                timestamp = float(fields[1]) if fields[1] else None
-                vector = np.array([float(v) for v in fields[2:]], dtype=np.float64)
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"{in_path} line {reader.line_num}: {exc}") from exc
-            if len(vector) != dim:
-                raise ValidationError(
-                    f"{in_path} line {reader.line_num}: {len(vector)} values, header has {dim}"
-                )
-            grouped.setdefault(fields[0], []).append((timestamp, vector))
-
-    source = Path(in_path).name
+    names, grouped = read_embeddings(in_path)
     rows = []
     for entity, entries in grouped.items():
         try:
-            rows.append(
-                aggregate_entity(
-                    [(source, entries)], CombineMode.SEPARATE, normalize, entity
-                )
-            )
+            parts = [(Path(in_path).name, entries)]
+            rows.append(aggregate_entity(parts, CombineMode.SEPARATE, normalize, entity))
         except (StageError, ValueError) as exc:
             raise ValidationError(f"{in_path}: entity '{entity}': {exc}") from exc
     matrix = FeatureMatrix(
         entity_ids=list(grouped),
-        feature_names=[f"e{i}" for i in range(dim)],
-        values=np.stack(rows),
+        feature_names=names,
+        values=np.array(rows).reshape(len(rows), len(names)),
     )
     matrix.to_csv(out_path)
     click.echo(f"wrote {len(grouped)} entity vectors to {out_path}")
@@ -241,14 +188,8 @@ def eval_cmd(features_path, seed, train_fraction, stratified):
 def ablate(config_path, seed, train_fraction, backend, grid_extended):
     """Run the sentence-representation ablation grid."""
     config = load_run_config(config_path, backend_name=backend)
-    if seed is not None or train_fraction is not None:
-        config.split = SplitSpec(
-            train_fraction=(
-                train_fraction if train_fraction is not None else config.split.train_fraction
-            ),
-            seed=seed if seed is not None else config.split.seed,
-            stratified=config.split.stratified,
-        )
+    overrides = {"seed": seed, "train_fraction": train_fraction}
+    config.split = replace(config.split, **{k: v for k, v in overrides.items() if v is not None})
     report = run_grid(config, extended=grid_extended)
     click.echo(report.render())
 
@@ -261,11 +202,7 @@ def compare(config_path, seed, repeats):
     """Run TabText and the traditional baseline, report both AUROCs."""
     config = load_run_config(config_path, repeats=repeats)
     if seed is not None:
-        config.split = SplitSpec(
-            train_fraction=config.split.train_fraction,
-            seed=seed,
-            stratified=config.split.stratified,
-        )
+        config.split = replace(config.split, seed=seed)
     manifest = run_compare(config)
     results = manifest["results"]
     click.echo(f"Traditional AUROC: {results['baseline_auroc']:.6f}")

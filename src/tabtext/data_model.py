@@ -175,8 +175,9 @@ def parse_table(
 ) -> list[Row]:
     """Parse delimiter-separated text with a header row into typed rows.
 
-    Fields whose lowercased value is in ``missing_tokens`` become missing cells
-    that keep the original token. Numeric parsing is attempted for every field;
+    Each record has one field per (distinct) header name. Fields whose
+    lowercased value is in ``missing_tokens`` become missing cells that keep
+    the original token. Numeric parsing is attempted for every field;
     ``parsed`` is set only when the value is a finite number.
     """
     missing = {t.lower() for t in missing_tokens}
@@ -193,20 +194,24 @@ def parse_table(
     except StopIteration:
         raise SchemaMismatchError("input has no header row") from None
 
+    if len(set(header)) < len(header):
+        raise SchemaMismatchError(f"header repeats a column name: {header}")
     positions: dict[str, int] = {}
     for col in schema.columns:
         if col.name not in header:
             raise SchemaMismatchError(f"header is missing schema column '{col.name}'")
         positions[col.name] = header.index(col.name)
 
+    width = len(header)
     rows: list[Row] = []
-    for lineno, record in enumerate(reader, start=2):
-        if not record:
-            continue
+    for record in reader:
+        if len(record) != width:
+            if not record:
+                continue
+            raise RowParseError(f"{len(record)} fields, header has {width}", reader.line_num)
         cells: dict[str, CellValue] = {}
         for col in schema.columns:
-            idx = positions[col.name]
-            raw = record[idx] if idx < len(record) else ""
+            raw = record[positions[col.name]]
             if raw.lower() in missing:
                 cells[col.name] = CellValue.absent(raw)
             else:
@@ -220,7 +225,7 @@ def parse_table(
                 raise RowParseError(
                     f"unparseable timestamp {tcell.raw!r} in column "
                     f"'{schema.time_column}'",
-                    lineno,
+                    reader.line_num,
                 )
             timestamp = tcell.parsed
         rows.append(Row(entity_id=entity_id, cells=cells, timestamp=timestamp))

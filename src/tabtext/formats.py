@@ -1,0 +1,185 @@
+"""The files that pass between stages, written and read in one place: the
+sentence TSV (serialize -> embed), the embedding CSV (embed -> aggregate),
+the feature CSV (aggregate, baseline, compare -> eval) and the labels file.
+Each of these CSVs is read through :func:`read_csv`; a bad line is a
+ValidationError naming the file and the line.
+"""
+from __future__ import annotations
+
+import csv
+import re
+from pathlib import Path
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+
+import numpy as np
+
+from .errors import ValidationError
+
+PathLike = Union[str, Path]
+Timed = tuple[Optional[float], np.ndarray]
+# Rows that write_float_rows formats at a time.
+_BLOCK_ROWS = 256
+
+# The sentence TSV holds one record per line with tab-separated fields, so
+# backslashes, tabs and line breaks inside a field are written as escapes.
+_TSV_ESCAPE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_TSV_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_TSV_ESCAPED = re.compile(r"\\([\\tnr])")
+
+
+def _invalid(path: PathLike, line: int, message: str) -> ValidationError:
+    return ValidationError(f"{path} line {line}: {message}")
+
+
+def _floats(path: PathLike, line: int, texts: Sequence[str]) -> np.ndarray:
+    try:
+        values = np.array([float(t) for t in texts], dtype=np.float64)
+    except ValueError as exc:
+        raise _invalid(path, line, str(exc)) from None
+    if not np.all(np.isfinite(values)):
+        raise _invalid(path, line, f"{texts[int(np.isfinite(values).argmin())]!r} is not finite")
+    return values
+
+
+def _label(path: PathLike, line: int, text: str) -> int:
+    if text.strip() not in ("0", "1"):
+        raise _invalid(path, line, f"label {text!r} is not 0 or 1")
+    return int(text)
+
+
+def write_sentences(path: PathLike, records: Iterable[tuple[str, Optional[float], str]]) -> None:
+    """Write (entity, timestamp or None, sentence) records as a sentence TSV."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for entity, timestamp, sentence in records:
+            entity = entity.translate(_TSV_ESCAPE)
+            sentence = sentence.translate(_TSV_ESCAPE)
+            if timestamp is not None:
+                handle.write(f"{entity}\t{timestamp!r}\t{sentence}\n")
+            else:
+                handle.write(f"{entity}\t{sentence}\n")
+
+
+def read_sentences(path: PathLike) -> list[tuple[str, str, str]]:
+    """(entity, timestamp text or "", sentence) per line of a sentence TSV."""
+    # Split on line feeds only: other Unicode line breaks may sit in a sentence.
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    records = []
+    for number, line in enumerate(lines, start=1):
+        fields = [_TSV_ESCAPED.sub(lambda m: _TSV_UNESCAPE[m[1]], f) for f in line.split("\t")]
+        if len(fields) == 3:
+            _floats(path, number, fields[1:2])
+        elif len(fields) != 2:
+            raise _invalid(path, number, f"{len(fields)} tab-separated fields, expected 2 or 3")
+        records.append((fields[0], fields[1] if len(fields) == 3 else "", fields[-1]))
+    return records
+
+
+def _csv_field(text: str) -> str:
+    """One CSV field, quoted only when it holds a comma, a quote or a line
+    break, as ``csv.QUOTE_MINIMAL`` does."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_float_rows(handle: TextIO, leads: Sequence[Sequence[str]], values: np.ndarray) -> None:
+    """Write one CSV line per row of ``values``: the row's ``leads`` fields,
+    then its values in shortest round-trip form (``repr``).
+
+    Zero cells share one "0.0" string; only non-zero and -0.0 cells are
+    formatted, a block of rows at a time.
+    """
+    template = ["0.0"] * values.shape[1]
+    for start in range(0, len(values), _BLOCK_ROWS):
+        block = values[start : start + _BLOCK_ROWS]
+        rows, cols = np.nonzero((block != 0) | np.signbit(block))
+        texts = [repr(v) for v in block[rows, cols].tolist()]
+        bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+        cols = cols.tolist()
+        for i, lead in enumerate(leads[start : start + len(block)]):
+            fields = [*map(_csv_field, lead), *template]
+            offset = len(lead)
+            for j in range(bounds[i], bounds[i + 1]):
+                fields[offset + cols[j]] = texts[j]
+            handle.write(",".join(fields) + "\n")
+
+
+def _write_csv(path: PathLike, header: Sequence[str], blocks: Iterable[tuple[list, np.ndarray]]):
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(map(_csv_field, header)) + "\n")
+        for leads, values in blocks:
+            write_float_rows(handle, leads, values)
+
+
+def read_csv(path: PathLike, min_width: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, fields) for the header of a CSV file, then for each
+    non-blank record. The header needs ``min_width`` fields and each record
+    as many as the header; ``line`` is the ``csv.reader`` line number."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if len(header) < min_width:
+            raise _invalid(path, 1, f"header has {len(header)} fields, needs {min_width}")
+        yield 1, header
+        for fields in reader:
+            if len(fields) != len(header):
+                if not fields:
+                    continue
+                raise _invalid(path, reader.line_num, f"{len(fields)} fields, not {len(header)}")
+            yield reader.line_num, fields
+
+
+def write_embeddings(path: PathLike, dim: int, records: Iterable[tuple[str, str, np.ndarray]]):
+    """Write (entity, timestamp text, vector) records as an embedding CSV."""
+    header = ["entity_id", "timestamp", *(f"e{i}" for i in range(dim))]
+    _write_csv(path, header, (([(e, t)], v.reshape(1, -1)) for e, t, v in records))
+
+
+def read_embeddings(path: PathLike) -> tuple[list[str], dict[str, list[Timed]]]:
+    """Vector column names of an embedding CSV, and its rows per entity."""
+    records = read_csv(path, 2)
+    _, header = next(records)
+    grouped: dict[str, list[Timed]] = {}
+    for line, fields in records:
+        timestamp = float(_floats(path, line, fields[1:2])[0]) if fields[1] else None
+        grouped.setdefault(fields[0], []).append((timestamp, _floats(path, line, fields[2:])))
+    return header[2:], grouped
+
+
+def write_features(path: PathLike, entity_ids, feature_names, values, labels) -> None:
+    """Write a feature CSV: entity_id[,label],features."""
+    leads = [entity_ids] if labels is None else [entity_ids, map(str, labels.tolist())]
+    header = ["entity_id", "label"][: len(leads)] + list(feature_names)
+    _write_csv(path, header, [(list(zip(*leads)), values)])
+
+
+def read_features(path: PathLike) -> tuple[list, list, np.ndarray, Optional[np.ndarray]]:
+    """(entity ids, feature names, values, labels or None) of a feature CSV."""
+    records = read_csv(path, 1)
+    _, header = next(records)
+    start = 2 if header[1:2] == ["label"] else 1
+    ids, labels, rows = [], [], []
+    for line, fields in records:
+        ids.append(fields[0])
+        if start == 2:
+            labels.append(_label(path, line, fields[1]))
+        rows.append(_floats(path, line, fields[start:]))
+    values = np.array(rows, dtype=np.float64).reshape(len(ids), len(header) - start)
+    return ids, header[start:], values, np.array(labels) if start == 2 else None
+
+
+def load_labels(path: PathLike) -> tuple[list[str], dict[str, int]]:
+    """Read the entity_id,label file; entity order is file order. Every
+    entity appears once with a label of 0 or 1; any other line is a
+    ValidationError that names its line number."""
+    records = read_csv(path, 2)
+    if len(next(records)[1]) != 2:
+        raise _invalid(path, 1, "expected the header entity_id,label")
+    labels: dict[str, int] = {}
+    for line, (entity, label) in records:
+        if entity in labels:
+            raise _invalid(path, line, f"duplicate entity '{entity}'")
+        labels[entity] = _label(path, line, label)
+    return list(labels), labels

@@ -12,7 +12,7 @@ import json
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -35,6 +35,7 @@ from .evaluation import (
     evaluate_features,
     run_ablation,
 )
+from .formats import load_labels
 from .serializer import CombineMode, MissingPolicy, SerializationConfig, serialize_row
 from .temporal import aggregate_entity
 
@@ -204,31 +205,6 @@ def load_sources(config: RunConfig) -> list[tuple[str, TableSchema, list[Row]]]:
     return loaded
 
 
-def load_labels(path: Union[str, Path]) -> tuple[list[str], dict[str, int]]:
-    """Read the entity_id,label file; entity order is file order.
-
-    Every entity appears once with a label of 0 or 1; any other line is a
-    ValidationError that names its 1-based line number.
-    """
-    ids: list[str] = []
-    labels: dict[str, int] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 2 or fields[1].strip() not in ("0", "1"):
-            raise ValidationError(
-                f"{path} line {number}: expected 'entity_id,label' with label 0 or 1, got {line!r}"
-            )
-        entity = fields[0]
-        if entity in labels:
-            raise ValidationError(f"{path} line {number}: duplicate entity '{entity}'")
-        ids.append(entity)
-        labels[entity] = int(fields[1])
-    return ids, labels
-
-
 def build_tabtext_features(
     sources: Sequence[tuple[str, TableSchema, Sequence[Row]]],
     entity_ids: Sequence[str],
@@ -315,12 +291,7 @@ def _evaluate_repeated(
     scores = []
     shash = ""
     for i in range(repeats):
-        spec = SplitSpec(
-            train_fraction=split.train_fraction,
-            seed=split.seed + i,
-            stratified=split.stratified,
-        )
-        score, shash_i = evaluate_features(features, spec)
+        score, shash_i = evaluate_features(features, replace(split, seed=split.seed + i))
         if i == 0:
             shash = shash_i
         scores.append(score)

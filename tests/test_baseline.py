@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tabtext.baseline import (
-    _BLOCK_ROWS,
     FeatureMatrix,
     SERIES_STATS,
     build_baseline_features,
@@ -20,6 +19,7 @@ from tabtext.data_model import (
     parse_table,
 )
 from tabtext.errors import StageError
+from tabtext.formats import _BLOCK_ROWS
 
 
 def cells(*raws):

@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from tabtext.baseline import FeatureMatrix
 from tabtext.cli import main
 from tabtext.data_model import load_schema, parse_table
 from tabtext.embedding import HashingBackend, embed_text
+from tabtext.pipeline import build_tabtext_features
 from tabtext.serializer import SerializationConfig, serialize_row
 from tabtext.synthetic import CorpusSpec, generate
 
@@ -183,6 +186,14 @@ def test_aggregate_empty_file_is_validation_error(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_aggregate_header_only_file_writes_header_only(tmp_path):
+    embeddings = tmp_path / "emb.csv"
+    embeddings.write_text("entity_id,timestamp,e0,e1\n")
+    out = tmp_path / "f.csv"
+    assert main(["aggregate", "--in", str(embeddings), "--out", str(out)]) == 0
+    assert out.read_text() == "entity_id,e0,e1\n"
+
+
 def test_aggregate_static_and_series_entities(tmp_path):
     embeddings = write_embeddings(
         tmp_path, "p1,,0.5,0.25", "p2,1.0,1.0,0.0", "p2,3.0,0.0,1.0"
@@ -296,3 +307,96 @@ def test_compare_feature_csv_bytes_are_stable(tmp_path):
         for name in COMPARE_150_DIGESTS
     }
     assert digests == COMPARE_150_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "p1,1,0.5,0.5\np2,0,0.5\n",  # short row
+        "p1,1,0.5,0.5\np2,0,x,0.5\n",  # non-numeric cell
+        "p1,1,0.5,0.5\np2,2,0.5,0.5\n",  # label outside {0, 1}
+        "p1,1,0.5,0.5\np2,0,nan,0.5\n",  # non-finite cell
+    ],
+)
+def test_eval_bad_feature_csv_is_validation_error(tmp_path, body, capsys):
+    features = tmp_path / "f.csv"
+    features.write_text("entity_id,label,f0,f1\n" + body)
+    assert main(["eval", "--features", str(features)]) == 1
+    assert "line 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "p2 no tab",
+        "p2\t1.0\tmiddle\tsentence",
+        "p2\tsoon\tsentence",
+        "p2\tinf\tsentence",
+        "p2\t\tsentence",
+    ],
+)
+def test_embed_malformed_sentence_line_is_validation_error(tmp_path, line, capsys):
+    sentences = tmp_path / "s.tsv"
+    sentences.write_text(f"p1\t1.0\tfine\n{line}\n")
+    out = tmp_path / "emb.csv"
+    assert main(["embed", "--in", str(sentences), "--out", str(out), "--dim", "8"]) == 1
+    assert "line 2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SERIES_NOTES_SCHEMA = """\
+meta: {table_title: Notes}
+entity_column: id
+time_column: t
+columns:
+  - {name: id, kind: categorical}
+  - {name: t, kind: timestamp}
+  - {name: note, kind: free_text}
+"""
+
+AWKWARD_TEXT = st.text(alphabet=[",", '"', "\t", "\r", "\n", "\u2028", "\\", " ", "a", "é", "日"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(
+            st.sampled_from(["p1", "a,b", 'q"t', "x\r\ny\tz", "é "]) | AWKWARD_TEXT,
+            st.floats(0, 1e6),
+            AWKWARD_TEXT,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_cli_stages_match_in_process_features(records):
+    """serialize -> embed -> aggregate through the stage files gives, per
+    entity, the bits that build_tabtext_features gives in one process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        schema_path = tmp / "notes.schema.yaml"
+        schema_path.write_text(SERIES_NOTES_SCHEMA)
+        data = tmp / "notes.csv"
+        with open(data, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "t", "note"])
+            writer.writerows((e, repr(t), note) for e, t, note in records)
+        for args in (
+            ["serialize", "--data", str(data), "--schema", str(schema_path),
+             "--out", str(tmp / "s.tsv")],
+            ["embed", "--in", str(tmp / "s.tsv"), "--out", str(tmp / "e.csv"), "--dim", "16"],
+            ["aggregate", "--in", str(tmp / "e.csv"), "--out", str(tmp / "f.csv")],
+        ):
+            assert main(args) == 0
+        staged = FeatureMatrix.from_csv(tmp / "f.csv")
+
+        schema = load_schema(schema_path)
+        rows = parse_table(data.read_bytes(), schema)
+        universe = list(dict.fromkeys(row.entity_id for row in rows))
+        expected = build_tabtext_features(
+            [("notes", schema, rows)], universe, None, SerializationConfig(),
+            HashingBackend(dim=16),
+        )
+    assert staged.entity_ids == universe
+    for got, want in zip(staged.values, expected.values):
+        assert got.tobytes() == want.tobytes()

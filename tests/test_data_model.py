@@ -114,6 +114,23 @@ class TestParseTable:
             parse_table("id,age,t\np1,50,1.5\np2,51,soon\n", schema)
         assert err.value.line == 3
 
+    def test_line_number_counts_line_breaks_inside_quoted_cells(self):
+        schema = make_schema(time_column="t", extra_cols=(ColumnSpec("note", ColumnKind.FREE_TEXT),))
+        text = 'id,age,t,note\np1,50,1.5,"a\nb\nc"\np2,51,soon,d\n'
+        with pytest.raises(RowParseError, match="line 5") as err:
+            parse_table(text, schema)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("record", ["p2", "p2,51,x"])
+    def test_record_width_must_match_header(self, record):
+        with pytest.raises(RowParseError, match="line 3") as err:
+            parse_table(f"id,age\np1,50\n{record}\np3,52\n", make_schema())
+        assert err.value.line == 3
+
+    def test_repeated_header_name_is_mismatch(self):
+        with pytest.raises(SchemaMismatchError, match="age"):
+            parse_table("id,age,age\np1,50,60\n", make_schema())
+
     def test_timestamp_parsed_onto_row(self):
         schema = make_schema(time_column="t")
         rows = parse_table("id,age,t\np1,50,1.5\n", schema)

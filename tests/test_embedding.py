@@ -1,6 +1,7 @@
 import http.server
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -177,13 +178,18 @@ class TestCachingBackend:
 class _Handler(http.server.BaseHTTPRequestHandler):
     dim = 4
     fail = False
-    # "ok", or a malformed reply: "not_json", "no_embeddings", "no_dim",
-    # "strings" (non-numeric values), "ragged" or "null" (a JSON null value).
+    # "ok", "slow" (no reply within SLOW_S), or a malformed reply: "not_json",
+    # "no_embeddings", "no_dim", "strings" (non-numeric values), "ragged" or
+    # "null" (a JSON null value).
     reply = "ok"
+    SLOW_S = 0.5
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
+        if self.reply == "slow":
+            time.sleep(self.SLOW_S)
+            return
         if self.fail:
             self.send_response(500)
             self.end_headers()
@@ -256,6 +262,15 @@ class TestRemoteBackend:
         try:
             with pytest.raises(BackendError, match=message):
                 RemoteBackend(embed_server, dim=4).embed_batch(["x", "yy"])
+        finally:
+            _Handler.reply = "ok"
+
+    def test_reply_slower_than_timeout_is_backend_error(self, embed_server):
+        _Handler.reply = "slow"
+        try:
+            backend = RemoteBackend(embed_server, dim=4, timeout=_Handler.SLOW_S / 5)
+            with pytest.raises(BackendError, match="unreachable"):
+                backend.embed_batch(["x"])
         finally:
             _Handler.reply = "ok"
 

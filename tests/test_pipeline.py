@@ -123,6 +123,10 @@ class TestLoadLabels:
         ids, labels = load_labels(self.write(tmp_path, "p2,1\np1,0\n\n"))
         assert ids == ["p2", "p1"] and labels == {"p2": 1, "p1": 0}
 
+    def test_reads_quoted_ids(self, tmp_path):
+        ids, labels = load_labels(self.write(tmp_path, '"a,b",1\n"say ""hi""",0\n'))
+        assert ids == ["a,b", 'say "hi"'] and labels == {"a,b": 1, 'say "hi"': 0}
+
     @pytest.mark.parametrize(
         "body, line",
         [
