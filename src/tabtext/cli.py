@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .baseline import FeatureMatrix, build_baseline_features
-from .data_model import load_schema, parse_table
+from .data_model import load_schema
 from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, embed_text, make_backend
 from .errors import BackendError, StageError, TabTextError, ValidationError
 from .evaluation import SplitSpec, evaluate_features
@@ -23,6 +23,7 @@ from .formats import load_labels, read_embeddings, read_sentences, write_embeddi
 from .pipeline import (
     load_run_config,
     load_sources,
+    load_table,
     run_compare,
     run_grid,
 )
@@ -51,19 +52,11 @@ def _ser_options(fn):
     fn = click.option("--descriptive/--terse", default=False)(fn)
     fn = click.option(
         "--combine",
+        "combine_sources",
         type=click.Choice([m.value for m in CombineMode]),
         default=CombineMode.SEPARATE.value,
     )(fn)
     return fn
-
-
-def _ser_config(missing_policy, include_meta, descriptive, combine) -> SerializationConfig:
-    return SerializationConfig(
-        missing_policy=MissingPolicy(missing_policy),
-        include_meta=include_meta,
-        descriptive=descriptive,
-        combine_sources=CombineMode(combine),
-    )
 
 
 @cli.command("gen-corpus")
@@ -91,11 +84,11 @@ def gen_corpus(out_dir, seed, n_entities, positive_rate, missingness_rate, infor
 @click.option("--schema", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_ser_options
-def serialize(data, schema, out_path, missing_policy, include_meta, descriptive, combine):
+def serialize(data, schema, out_path, **axes):
     """Serialize a table to a sentence TSV, one line per row."""
     table_schema = load_schema(schema)
-    rows = parse_table(Path(data).read_bytes(), table_schema)
-    config = _ser_config(missing_policy, include_meta, descriptive, combine)
+    rows = load_table(data, table_schema)
+    config = SerializationConfig.from_dict(axes)
     write_sentences(
         out_path,
         ((row.entity_id, row.timestamp, serialize_row(table_schema, row, config)) for row in rows),

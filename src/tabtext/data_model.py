@@ -17,7 +17,7 @@ from typing import IO, Iterable, Mapping, Optional, Union
 
 import yaml
 
-from .errors import RowParseError, SchemaError, SchemaMismatchError
+from .errors import RowParseError, SchemaError, SchemaMismatchError, ValidationError
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 
@@ -132,6 +132,20 @@ class Row:
     timestamp: Optional[float] = None
 
 
+def read_section(doc: object, defaults: Mapping[str, object], where: str) -> dict:
+    """``defaults`` updated from the mapping ``doc`` of a config file. A key
+    that ``defaults`` lacks, or a value that is not a boolean where the default
+    is one, is a ValidationError naming the key."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a mapping, not {doc!r}")
+    for key, value in doc.items():
+        if key not in defaults:
+            raise ValidationError(f"unknown key {key!r} in {where}")
+        if isinstance(defaults[key], bool) and not isinstance(value, bool):
+            raise ValidationError(f"{key!r} in {where} must be true or false, not {value!r}")
+    return {**defaults, **doc}
+
+
 def load_schema(path: Union[str, Path]) -> TableSchema:
     """Load a YAML schema sidecar file."""
     doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
@@ -182,7 +196,10 @@ def parse_table(
     """
     missing = {t.lower() for t in missing_tokens}
     if isinstance(data, bytes):
-        handle: IO[str] = io.StringIO(data.decode("utf-8"))
+        try:
+            handle: IO[str] = io.StringIO(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"not UTF-8 text ({exc.reason})") from None
     elif isinstance(data, str):
         handle = io.StringIO(data)
     else:

@@ -13,11 +13,11 @@ class SchemaError(ValidationError):
     """A schema document is internally inconsistent."""
 
 
-class SchemaMismatchError(TabTextError):
+class SchemaMismatchError(ValidationError):
     """Input data does not match the declared schema."""
 
 
-class RowParseError(TabTextError):
+class RowParseError(ValidationError):
     """A single data row could not be parsed; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -166,17 +167,24 @@ def fit_linear_classifier(
     )
 
 
-POLICY_LABELS = {
-    MissingPolicy.EXCLUDE: "Exclusion",
-    MissingPolicy.ENCODE_MISSING: "Is missing",
-    MissingPolicy.ZERO_PAD: "Is 0",
-    MissingPolicy.KEEP_ORIGINAL: "Original",
-}
-META_LABELS = {True: "Include", False: "Does not Include"}
-DESC_LABELS = {True: "Yes", False: "No"}
-COMBINE_LABELS = {
-    CombineMode.SEPARATE: "Separate",
-    CombineMode.SINGLE_PARAGRAPH: "Single Paragraph",
+# The ablation axes in grid order: each SerializationConfig field with its
+# report column header and the report label of each of its values.
+AXES: dict[str, tuple[str, dict]] = {
+    "missing_policy": (
+        "Missing Handling",
+        {
+            MissingPolicy.EXCLUDE: "Exclusion",
+            MissingPolicy.ENCODE_MISSING: "Is missing",
+            MissingPolicy.ZERO_PAD: "Is 0",
+            MissingPolicy.KEEP_ORIGINAL: "Original",
+        },
+    ),
+    "include_meta": ("Meta Info", {True: "Include", False: "Does not Include"}),
+    "descriptive": ("Descriptiveness", {True: "Yes", False: "No"}),
+    "combine_sources": (
+        "Sources",
+        {CombineMode.SEPARATE: "Separate", CombineMode.SINGLE_PARAGRAPH: "Single Paragraph"},
+    ),
 }
 
 
@@ -192,56 +200,32 @@ class AblationReport:
     """Grid results sorted by test AUROC plus per-axis aggregate means."""
 
     rows: list[AblationRow]
-    extended: bool = False
 
     def __post_init__(self):
         self.rows = sorted(self.rows, key=lambda r: -r.test_auroc)
 
     def axis_means(self) -> dict[str, dict[str, float]]:
-        def mean_over(select: Callable[[SerializationConfig], bool]) -> float:
-            hits = [r.test_auroc for r in self.rows if select(r.config)]
-            return float(np.mean(hits))
-
-        means: dict[str, dict[str, float]] = {
-            "missing_policy": {
-                POLICY_LABELS[p]: mean_over(lambda c, p=p: c.missing_policy is p)
-                for p in MissingPolicy
-            },
-            "include_meta": {
-                META_LABELS[v]: mean_over(lambda c, v=v: c.include_meta is v)
-                for v in (True, False)
-            },
-            "descriptive": {
-                DESC_LABELS[v]: mean_over(lambda c, v=v: c.descriptive is v)
-                for v in (True, False)
-            },
-        }
-        if self.extended:
-            means["combine_sources"] = {
-                COMBINE_LABELS[m]: mean_over(lambda c, m=m: c.combine_sources is m)
-                for m in CombineMode
+        """Mean test AUROC per value of each axis whose value varies across the
+        rows, keyed by the axis field and the value's label, in AXES order."""
+        return {
+            axis: {
+                label: float(
+                    np.mean([r.test_auroc for r in self.rows if getattr(r.config, axis) == value])
+                )
+                for value, label in labels.items()
             }
-        return means
+            for axis, (_, labels) in AXES.items()
+            if len({getattr(r.config, axis) for r in self.rows}) > 1
+        }
 
     def render(self) -> str:
-        lines = ["Missing Handling | Meta Info | Descriptiveness | Test AUC"]
-        if self.extended:
-            lines = [
-                "Missing Handling | Meta Info | Descriptiveness | Sources | Test AUC"
-            ]
+        means = self.axis_means()
+        lines = [" | ".join([*(AXES[a][0] for a in means), "Test AUC"])]
         lines.append("-" * len(lines[0]))
         for row in self.rows:
-            cfg = row.config
-            fields = [
-                POLICY_LABELS[cfg.missing_policy],
-                META_LABELS[cfg.include_meta],
-                DESC_LABELS[cfg.descriptive],
-            ]
-            if self.extended:
-                fields.append(COMBINE_LABELS[cfg.combine_sources])
-            fields.append(f"{row.test_auroc:.3f}")
-            lines.append(" | ".join(fields))
-        for axis, table in self.axis_means().items():
+            labels = [AXES[a][1][getattr(row.config, a)] for a in means]
+            lines.append(" | ".join([*labels, f"{row.test_auroc:.3f}"]))
+        for axis, table in means.items():
             lines.append("")
             lines.append(f"Aggregated by {axis}:")
             for value, mean in table.items():
@@ -251,14 +235,7 @@ class AblationReport:
     def to_dict(self) -> dict:
         return {
             "rows": [
-                {
-                    "missing_policy": r.config.missing_policy.value,
-                    "include_meta": r.config.include_meta,
-                    "descriptive": r.config.descriptive,
-                    "combine_sources": r.config.combine_sources.value,
-                    "test_auroc": r.test_auroc,
-                    "split_hash": r.split_hash,
-                }
+                {**r.config.to_dict(), "test_auroc": r.test_auroc, "split_hash": r.split_hash}
                 for r in self.rows
             ],
             "axis_means": self.axis_means(),
@@ -266,24 +243,13 @@ class AblationReport:
 
 
 def grid_points(extended: bool = False) -> list[SerializationConfig]:
-    """The 16-point ablation grid (32 with the source-combination axis)."""
-    combine_values = (
-        list(CombineMode) if extended else [CombineMode.SEPARATE]
-    )
-    points = []
-    for policy in MissingPolicy:
-        for meta in (True, False):
-            for descriptive in (True, False):
-                for combine in combine_values:
-                    points.append(
-                        SerializationConfig(
-                            missing_policy=policy,
-                            include_meta=meta,
-                            descriptive=descriptive,
-                            combine_sources=combine,
-                        )
-                    )
-    return points
+    """The 16-point ablation grid over every axis but the last (source
+    combination), which keeps its default; the extended grid adds it, for 32."""
+    names = list(AXES)[: None if extended else -1]
+    return [
+        SerializationConfig(**dict(zip(names, values)))
+        for values in product(*(AXES[name][1] for name in names))
+    ]
 
 
 def evaluate_features(
@@ -326,11 +292,6 @@ def run_ablation(
         except StageError:
             raise
         except Exception as exc:
-            raise StageError(
-                "ablate",
-                f"grid point ({config.missing_policy.value}, "
-                f"meta={config.include_meta}, descriptive={config.descriptive}, "
-                f"{config.combine_sources.value}) failed: {exc}",
-            ) from exc
+            raise StageError("ablate", f"grid point {config.to_dict()} failed: {exc}") from exc
         rows.append(AblationRow(config=config, test_auroc=score, split_hash=shash))
-    return AblationReport(rows=rows, extended=extended)
+    return AblationReport(rows=rows)

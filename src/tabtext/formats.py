@@ -2,12 +2,14 @@
 sentence TSV (serialize -> embed), the embedding CSV (embed -> aggregate),
 the feature CSV (aggregate, baseline, compare -> eval) and the labels file.
 Each of these CSVs is read through :func:`read_csv`; a bad line is a
-ValidationError naming the file and the line.
+ValidationError naming the file and the line, and so is a file that is not
+UTF-8 text, naming the file.
 """
 from __future__ import annotations
 
 import csv
 import re
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -29,6 +31,14 @@ _TSV_ESCAPED = re.compile(r"\\([\\tnr])")
 
 def _invalid(path: PathLike, line: int, message: str) -> ValidationError:
     return ValidationError(f"{path} line {line}: {message}")
+
+
+@contextmanager
+def _utf8(path: PathLike) -> Iterator[None]:
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _floats(path: PathLike, line: int, texts: Sequence[str]) -> np.ndarray:
@@ -61,8 +71,10 @@ def write_sentences(path: PathLike, records: Iterable[tuple[str, Optional[float]
 
 def read_sentences(path: PathLike) -> list[tuple[str, str, str]]:
     """(entity, timestamp text or "", sentence) per line of a sentence TSV."""
+    with _utf8(path):
+        text = Path(path).read_text(encoding="utf-8")
     # Split on line feeds only: other Unicode line breaks may sit in a sentence.
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     records = []
@@ -117,7 +129,7 @@ def read_csv(path: PathLike, min_width: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, fields) for the header of a CSV file, then for each
     non-blank record. The header needs ``min_width`` fields and each record
     as many as the header; ``line`` is the ``csv.reader`` line number."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _utf8(path), open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         if len(header) < min_width:

@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .baseline import FeatureMatrix, build_baseline_features
-from .data_model import Row, TableSchema, load_schema, parse_table
+from .data_model import Row, TableSchema, load_schema, parse_table, read_section
 from .embedding import (
     DEFAULT_DIM,
     DEFAULT_MAX_CHARS,
@@ -33,10 +33,11 @@ from .evaluation import (
     AblationReport,
     SplitSpec,
     evaluate_features,
+    grid_points,
     run_ablation,
 )
 from .formats import load_labels
-from .serializer import CombineMode, MissingPolicy, SerializationConfig, serialize_row
+from .serializer import CombineMode, SerializationConfig, serialize_row
 from .temporal import aggregate_entity
 
 log = logging.getLogger("tabtext")
@@ -86,12 +87,7 @@ class RunConfig:
                 for s in self.sources
             ],
             "labels": str(self.labels) if self.labels else None,
-            "serialization": {
-                "missing_policy": self.serialization.missing_policy.value,
-                "include_meta": self.serialization.include_meta,
-                "descriptive": self.serialization.descriptive,
-                "combine_sources": self.serialization.combine_sources.value,
-            },
+            "serialization": self.serialization.to_dict(),
             "embedding": {
                 "backend": self.backend_name,
                 "dim": self.dim,
@@ -125,52 +121,62 @@ class RunConfig:
 
 
 def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
-    """Load a YAML run config; relative paths resolve against the config file."""
+    """Load a YAML run config; relative paths resolve against the config file.
+    It may hold the keys of :meth:`RunConfig.canonical`, defaulting to a default
+    RunConfig's values, and ``embedding.cache`` and ``output_dir``. Any other
+    key, or a flag that is not true or false, is a ValidationError."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file does not exist: {path}")
-    doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    try:
+        doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    default = RunConfig([], None, SerializationConfig())
+    known = default.canonical()
+    known["embedding"]["cache"] = default.cache_dir
+    doc = read_section(doc, {**known, "output_dir": default.output_dir}, str(path))
+    emb, temporal, ev, baseline = (
+        read_section(doc[name], known[name], name)
+        for name in ("embedding", "temporal", "evaluation", "baseline")
+    )
     base = path.parent
 
     def resolve(p) -> Path:
         return (base / p).resolve() if p else None
 
     try:
+        for s in doc["sources"]:
+            read_section(s, dict.fromkeys(("name", "data", "schema")), "an item of sources")
+            if not (s.get("data") and s.get("schema")):
+                raise ValidationError("an item of sources needs 'data' and 'schema'")
         sources = [
             SourceConfig(
                 name=s.get("name") or Path(s["data"]).stem,
                 data=resolve(s["data"]),
                 schema=resolve(s["schema"]),
             )
-            for s in doc.get("sources", [])
+            for s in doc["sources"]
         ]
-        ser = doc.get("serialization", {})
-        emb = doc.get("embedding", {})
-        ev = doc.get("evaluation", {})
         config = RunConfig(
             sources=sources,
-            labels=resolve(doc.get("labels")),
-            serialization=SerializationConfig(
-                missing_policy=MissingPolicy(ser.get("missing_policy", "encode_missing")),
-                include_meta=bool(ser.get("include_meta", True)),
-                descriptive=bool(ser.get("descriptive", False)),
-                combine_sources=CombineMode(ser.get("combine_sources", "separate")),
-            ),
-            backend_name=emb.get("backend", "hashing"),
-            dim=int(emb.get("dim", DEFAULT_DIM)),
-            max_chars=int(emb.get("max_chars", DEFAULT_MAX_CHARS)),
-            cache_dir=resolve(emb.get("cache")),
-            backend_url=emb.get("url"),
-            model_dir=emb.get("model_dir"),
-            normalize=bool(doc.get("temporal", {}).get("normalize", True)),
+            labels=resolve(doc["labels"]),
+            serialization=SerializationConfig.from_dict(doc["serialization"]),
+            backend_name=emb["backend"],
+            dim=int(emb["dim"]),
+            max_chars=int(emb["max_chars"]),
+            cache_dir=resolve(emb["cache"]),
+            backend_url=emb["url"],
+            model_dir=emb["model_dir"],
+            normalize=temporal["normalize"],
             split=SplitSpec(
-                train_fraction=float(ev.get("train_fraction", 0.8)),
-                seed=int(ev.get("seed", 0)),
-                stratified=bool(ev.get("stratified", True)),
+                train_fraction=float(ev["train_fraction"]),
+                seed=int(ev["seed"]),
+                stratified=ev["stratified"],
             ),
-            repeats=int(ev.get("repeats", 1)),
-            max_categories=int(doc.get("baseline", {}).get("max_categories", 10)),
-            output_dir=resolve(doc.get("output_dir", "out")),
+            repeats=int(ev["repeats"]),
+            max_categories=int(baseline["max_categories"]),
+            output_dir=resolve(doc["output_dir"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed config: {exc}") from exc
@@ -196,12 +202,20 @@ def stage(name: str, items: Optional[int] = None):
     log.info("stage %s done in %.2fs%s", name, elapsed, suffix)
 
 
+def load_table(data: Union[str, Path], schema: TableSchema) -> list[Row]:
+    """Parse the data table at ``data``; a malformed file is a ValidationError
+    that names it."""
+    try:
+        return parse_table(Path(data).read_bytes(), schema)
+    except ValidationError as exc:
+        raise ValidationError(f"{data}: {exc}") from None
+
+
 def load_sources(config: RunConfig) -> list[tuple[str, TableSchema, list[Row]]]:
     loaded = []
     for source in config.sources:
         schema = load_schema(source.schema)
-        rows = parse_table(source.data.read_bytes(), schema)
-        loaded.append((source.name, schema, rows))
+        loaded.append((source.name, schema, load_table(source.data, schema)))
     return loaded
 
 
@@ -386,7 +400,7 @@ def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
             sources, entity_ids, labels, point, backend, config.normalize
         )
 
-    with stage("ablate", items=32 if extended else 16):
+    with stage("ablate", items=len(grid_points(extended))):
         report = run_ablation(builder, config.split, extended)
 
     (out / "ablation_report.txt").write_text(report.render(), encoding="utf-8")

@@ -400,3 +400,124 @@ def test_cli_stages_match_in_process_features(records):
     assert staged.entity_ids == universe
     for got, want in zip(staged.values, expected.values):
         assert got.tobytes() == want.tobytes()
+
+
+# sha256 of the ablation reports that `ablate` writes for `gen-corpus
+# --n-entities 60 --seed 3 --positive-rate 0.3` with a 32-d hashing backend.
+# A change to the grid order, the axis labels, the report layout or the sort
+# fails here.
+ABLATION_DIGESTS = {
+    "": {
+        "ablation_report.json": "87a4967e6df9febd926881d988203049161773df139898f7e85da08070033e12",
+        "ablation_report.txt": "c196949bb691899f8ce241e9cb46af00087ca23cd2513c0321d7575af5338514",
+    },
+    "--grid-extended": {
+        "ablation_report.json": "826a7d0bd98675ee31196bdff5af942051772a433ff856d4354feb0e61f40e67",
+        "ablation_report.txt": "d3c547b0ad5e222892d3670cd15fb6d25429e30aa178dfc6869cf88d4e376e6a",
+    },
+}
+
+
+@pytest.mark.parametrize("flag", sorted(ABLATION_DIGESTS))
+def test_ablation_report_bytes_are_stable(tmp_path, flag, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus), "--n-entities", "60", "--seed", "3",
+                 "--positive-rate", "0.3"]) == 0
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        yaml.safe_dump(
+            {
+                "sources": [
+                    {"data": "corpus/demographics.csv", "schema": "corpus/demographics.schema.yaml"},
+                    {"data": "corpus/vitals.csv", "schema": "corpus/vitals.schema.yaml"},
+                ],
+                "labels": "corpus/labels.csv",
+                "embedding": {"dim": 32},
+                "output_dir": "out",
+            }
+        )
+    )
+    capsys.readouterr()
+    assert main(["ablate", "--config", str(config), *filter(None, [flag])]) == 0
+    text = (tmp_path / "out" / "ablation_report.txt").read_text()
+    assert capsys.readouterr().out == text + "\n"
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ABLATION_DIGESTS[flag]
+    }
+    assert digests == ABLATION_DIGESTS[flag]
+
+
+BAD_CONFIGS = [
+    ({"embeding": {"dim": 8}}, "embeding"),
+    ({"serialization": {"missing_polcy": "exclude"}}, "missing_polcy"),
+    ({"embedding": {"backend": "hashing", "dimm": 8}}, "dimm"),
+    ({"temporal": {"normalise": False}}, "normalise"),
+    ({"evaluation": {"sead": 1}}, "sead"),
+    ({"baseline": {"max_categorys": 5}}, "max_categorys"),
+    ({"sources": [{"data": "vitals.csv", "schema": "vitals.schema.yaml", "shema": "x"}]},
+     "shema"),
+    ({"sources": [{"name": "v", "data": None, "schema": "vitals.schema.yaml"}]}, "data"),
+    ({"serialization": {"include_meta": "false"}}, "include_meta"),
+    ({"serialization": {"descriptive": "no"}}, "descriptive"),
+    ({"temporal": {"normalize": "yes"}}, "normalize"),
+    ({"evaluation": {"stratified": 1}}, "stratified"),
+]
+
+
+@pytest.mark.parametrize("overrides, key", BAD_CONFIGS, ids=[key for _, key in BAD_CONFIGS])
+def test_bad_config_key_or_flag_is_validation_error(corpus, tmp_path, overrides, key, capsys):
+    config = write_config(corpus, tmp_path / "out", **overrides)
+    assert main(["compare", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text", [b"sources: [\n", b"labels: caf\xff\n"], ids=["yaml-syntax", "not-utf8"]
+)
+def test_unreadable_config_file_is_validation_error(tmp_path, text, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_bytes(text)
+    assert main(["compare", "--config", str(config)]) == 1
+    assert f"validation error: {config}: " in capsys.readouterr().err
+
+
+def test_short_data_record_is_validation_error_naming_the_file(corpus, tmp_path, capsys):
+    schema = tmp_path / "notes.schema.yaml"
+    schema.write_text(NOTES_SCHEMA)
+    data = tmp_path / "notes.csv"
+    data.write_text("id,note\np1,fine\np2\n")
+    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.tsv")]
+    assert main(["serialize", *args]) == 1
+    config = write_config(
+        corpus, tmp_path / "out", sources=[{"data": str(data), "schema": str(schema)}]
+    )
+    assert main(["compare", "--config", str(config)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith(f"validation error: {data}: line 3:") for line in lines)
+
+
+NOT_UTF8 = {
+    "eval": ("features.csv", b"entity_id,label,f0\np1,1,0.5\np2,0,\xff\n", "--features"),
+    "embed": ("sentences.tsv", b"p1\tfine\np2\tcaf\xff\n", "--in"),
+    "serialize": ("notes.csv", b"id,note\np1,caf\xff\n", "--data"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_UTF8))
+def test_file_that_is_not_utf8_is_validation_error(tmp_path, command, capsys):
+    name, content, option = NOT_UTF8[command]
+    path = tmp_path / name
+    path.write_bytes(content)
+    schema = tmp_path / "notes.schema.yaml"
+    schema.write_text(NOTES_SCHEMA)
+    args = [option, str(path)]
+    if command != "eval":
+        args += ["--out", str(tmp_path / "out")]
+    if command == "serialize":
+        args += ["--schema", str(schema)]
+    assert main([command, *args]) == 1
+    assert f"validation error: {path}: " in capsys.readouterr().err

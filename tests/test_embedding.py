@@ -221,7 +221,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def embed_server():
     server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return without waiting 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from golden_fixture import golden_configs
 from tabtext.baseline import FeatureMatrix
 from tabtext.errors import ValidationError
 from tabtext.evaluation import (
@@ -213,6 +214,13 @@ class TestGridPoints:
 
     def test_extended_doubles(self):
         assert len(grid_points(extended=True)) == 32
+
+    def test_matches_golden_order(self):
+        assert grid_points() == [config for _, config in golden_configs()]
+
+    def test_every_point_round_trips_through_a_dict(self):
+        for config in grid_points(extended=True):
+            assert SerializationConfig.from_dict(config.to_dict()) == config
 
 
 def synthetic_builder(seed=0, n=120, dim=32):

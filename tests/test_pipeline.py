@@ -1,11 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema, parse_table
 from tabtext.embedding import HashingBackend
 from tabtext.errors import StageError, ValidationError
-from tabtext.pipeline import build_tabtext_features, load_labels
-from tabtext.serializer import CombineMode, SerializationConfig
+from tabtext.evaluation import SplitSpec
+from tabtext.pipeline import RunConfig, SourceConfig, build_tabtext_features, load_labels
+from tabtext.serializer import CombineMode, MissingPolicy, SerializationConfig
 
 SEPARATE = SerializationConfig(include_meta=False, combine_sources=CombineMode.SEPARATE)
 SINGLE = SerializationConfig(include_meta=False, combine_sources=CombineMode.SINGLE_PARAGRAPH)
@@ -140,3 +143,21 @@ class TestLoadLabels:
     def test_bad_line_is_validation_error(self, tmp_path, body, line):
         with pytest.raises(ValidationError, match=f"line {line}:"):
             load_labels(self.write(tmp_path, body))
+
+
+def test_config_hash_is_stable():
+    """The manifest's config_hash for a fixed config; any change to the
+    canonical form (key names, value spelling, order) fails here."""
+    config = RunConfig(
+        sources=[SourceConfig("vitals", Path("data/vitals.csv"), Path("data/vitals.schema.yaml"))],
+        labels=Path("data/labels.csv"),
+        serialization=SerializationConfig(
+            missing_policy=MissingPolicy.ZERO_PAD,
+            include_meta=False,
+            combine_sources=CombineMode.SINGLE_PARAGRAPH,
+        ),
+        dim=64,
+        split=SplitSpec(train_fraction=0.75, seed=4, stratified=False),
+        repeats=3,
+    )
+    assert config.config_hash() == "097cc9d864b7f67e"
