@@ -146,37 +146,37 @@ def read_section(doc: object, defaults: Mapping[str, object], where: str) -> dic
     return {**defaults, **doc}
 
 
+_SCHEMA_KEYS = dict.fromkeys(("meta", "columns", "entity_column", "time_column"))
+_META_KEYS = {"table_title": "", "description": ""}
+_COLUMN_KEYS = dict.fromkeys(("name", "kind", "label", "descriptive_template", "unit"))
+
+
 def load_schema(path: Union[str, Path]) -> TableSchema:
-    """Load a YAML schema sidecar file."""
-    doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    return schema_from_dict(doc)
-
-
-def schema_from_dict(doc: dict) -> TableSchema:
+    """Load a YAML schema sidecar file; any fault in it is a SchemaError
+    naming the file."""
     try:
-        meta = TableMeta(
-            table_title=doc.get("meta", {}).get("table_title", ""),
-            description=doc.get("meta", {}).get("description", ""),
-        )
-        columns = tuple(
-            ColumnSpec(
-                name=c["name"],
-                kind=ColumnKind(c["kind"]),
-                label=c.get("label"),
-                descriptive_template=c.get("descriptive_template"),
-                unit=c.get("unit"),
-            )
-            for c in doc["columns"]
-        )
+        return schema_from_dict(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
+    except (yaml.YAMLError, UnicodeDecodeError, ValidationError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def schema_from_dict(doc: object) -> TableSchema:
+    """A schema from its YAML document. An unknown key in the document, in
+    ``meta`` or in a column is a ValidationError naming the key."""
+    read_section(doc, _SCHEMA_KEYS, "the schema")
+    try:
+        meta = TableMeta(**read_section(doc.get("meta") or {}, _META_KEYS, "meta"))
+        columns = []
+        for i, c in enumerate(doc["columns"]):
+            spec = read_section(c, _COLUMN_KEYS, f"columns[{i}]")
+            columns.append(ColumnSpec(**{**spec, "name": c["name"], "kind": ColumnKind(c["kind"])}))
         return TableSchema(
             meta=meta,
-            columns=columns,
+            columns=tuple(columns),
             entity_column=doc["entity_column"],
             time_column=doc.get("time_column"),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"malformed schema document: {exc}") from exc
 
 

@@ -12,13 +12,14 @@ offline end-to-end evaluation meaningful.
 from __future__ import annotations
 
 import hashlib
-import os
+import json
 import re
-import tempfile
+import weakref
 from bisect import bisect_right
+from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
@@ -127,20 +128,27 @@ class RemoteBackend:
         self.backend_id = f"remote-{tag}-d{dim}"
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        import requests
+        # One fresh connection per call: urllib sends "Connection: close".
+        import urllib.request
+        from http.client import HTTPException
 
+        # urllib would also open file:, ftp: and data: URLs.
+        if self.url.split(":", 1)[0].lower() not in ("http", "https"):
+            raise BackendError(f"embedding service unreachable: {self.url!r} is not http(s)")
+        data = json.dumps({"texts": list(texts)}).encode("utf-8")
         try:
-            resp = requests.post(
-                self.url, json={"texts": list(texts)}, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(self.url, data, {"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            status, body = exc.code, b""
+            exc.close()
+        except (OSError, HTTPException, ValueError) as exc:
             raise BackendError(f"embedding service unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendError(
-                f"embedding service returned HTTP {resp.status_code}"
-            )
+        if status != 200:
+            raise BackendError(f"embedding service returned HTTP {status}")
         try:
-            payload = resp.json()
+            payload = json.loads(body)
             dim = payload["dim"]
             raw = np.asarray(payload["embeddings"])
         except (ValueError, TypeError, KeyError) as exc:
@@ -189,50 +197,68 @@ class LocalModelBackend:
 
 
 class CachingBackend:
-    """On-disk key-value cache keyed by (backend id, content hash of text).
+    """On-disk cache of vectors keyed by sha256 of (backend id, text).
 
-    One .npy file per key, written atomically (temp file + rename) so
-    concurrent readers never see partial vectors.
+    One sqlite3 file, ``embeddings.sqlite3``, per cache directory, in WAL mode
+    so that concurrent processes can share it. A vector is stored as
+    little-endian float64 bytes; a blob of another length is a miss and is
+    overwritten. Only misses reach the inner backend.
     """
 
+    FILE = "embeddings.sqlite3"
+
     def __init__(self, inner: EmbeddingBackend, cache_dir: Union[str, Path]):
+        import sqlite3
+
         self.inner = inner
         self.backend_id = inner.backend_id
         self.dim = inner.dim
         self.max_chars = inner.max_chars
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.path = self.cache_dir / self.FILE
+        self._errors = (sqlite3.Error, OSError)
+        with self._io():
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            self._db = sqlite3.connect(self.path)
+            # The connection sits in a reference cycle; close it with this object.
+            weakref.finalize(self, self._db.close)
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS vectors (key TEXT PRIMARY KEY, vec BLOB NOT NULL)"
+            )
 
-    def _path(self, text: str) -> Path:
-        key = hashlib.sha256(
-            f"{self.backend_id}\0{text}".encode("utf-8")
-        ).hexdigest()
-        return self.cache_dir / key[:2] / f"{key}.npy"
+    @contextmanager
+    def _io(self) -> Iterator[None]:
+        try:
+            yield
+        except self._errors as exc:
+            raise BackendError(f"embedding cache {self.path}: {exc}") from None
+
+    def _key(self, text: str) -> str:
+        return hashlib.sha256(f"{self.backend_id}\0{text}".encode("utf-8")).hexdigest()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        keys = [self._key(text) for text in texts]
+        query = f"SELECT key, vec FROM vectors WHERE key IN ({','.join('?' * len(keys))})"
+        with self._io():
+            found = dict(self._db.execute(query, keys))
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
         miss_idx: list[int] = []
-        for i, text in enumerate(texts):
-            path = self._path(text)
-            if path.exists():
-                out[i] = np.load(path)
+        for i, key in enumerate(keys):
+            blob = found.get(key)
+            if blob is not None and len(blob) == 8 * self.dim:
+                out[i] = np.frombuffer(blob, dtype="<f8")
             else:
                 miss_idx.append(i)
         if miss_idx:
-            fresh = self.inner.embed_batch([texts[i] for i in miss_idx])
-            for j, i in enumerate(miss_idx):
-                out[i] = fresh[j]
-                path = self._path(texts[i])
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        np.save(handle, fresh[j])
-                    os.replace(tmp, path)
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
+            out[miss_idx] = self.inner.embed_batch([texts[i] for i in miss_idx])
+            fresh = out[miss_idx].astype("<f8")
+            with self._io(), self._db:
+                self._db.executemany(
+                    "INSERT OR REPLACE INTO vectors VALUES (?, ?)",
+                    [(keys[i], row.tobytes()) for i, row in zip(miss_idx, fresh)],
+                )
         return out
 
 

@@ -147,15 +147,25 @@ def test_bad_flag_usage_is_validation_error():
     assert main(["eval"]) == 1
 
 
-def test_import_loads_neither_scipy_nor_numba():
-    code = "import sys, tabtext.cli; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
-    src = str(Path(__file__).resolve().parents[1] / "src")
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+def modules_loaded_by_import(names):
+    code = f"import sys, tabtext.cli; print(sorted({set(names)!r} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=SRC_ENV
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    assert modules_loaded_by_import({"scipy", "numba"}) == "[]"
+
+
+def test_import_loads_no_http_client_or_sqlite():
+    # The remote backend and the disk cache import these when they are used.
+    names = {"requests", "urllib.request", "http.client", "sqlite3"}
+    assert modules_loaded_by_import(names) == "[]"
 
 
 def write_embeddings(tmp_path, *rows):
@@ -521,3 +531,73 @@ def test_file_that_is_not_utf8_is_validation_error(tmp_path, command, capsys):
         args += ["--schema", str(schema)]
     assert main([command, *args]) == 1
     assert f"validation error: {path}: " in capsys.readouterr().err
+
+
+def test_concurrent_runs_share_one_cache_and_match_a_run_without_it(corpus, tmp_path):
+    sentences = tmp_path / "vitals.tsv"
+    args = ["--schema", str(corpus / "vitals.schema.yaml"), "--out", str(sentences)]
+    assert main(["serialize", "--data", str(corpus / "vitals.csv"), *args]) == 0
+    embed = ["embed", "--in", str(sentences), "--dim", "32"]
+    assert main([*embed, "--out", str(tmp_path / "plain.csv")]) == 0
+    cache = ["--cache", str(tmp_path / "cache")]
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "tabtext.cli", *embed, *cache, "--out", str(tmp_path / name)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=SRC_ENV,
+        )
+        for name in ("a.csv", "b.csv")
+    ]
+    for run in runs:
+        _, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+    assert main([*embed, *cache, "--out", str(tmp_path / "warm.csv")]) == 0
+    expected = (tmp_path / "plain.csv").read_bytes()
+    for name in ("a.csv", "b.csv", "warm.csv"):
+        assert (tmp_path / name).read_bytes() == expected
+    assert os.listdir(tmp_path / "cache") == ["embeddings.sqlite3"]
+
+
+def unusable_cache(tmp_path: Path, case: str) -> Path:
+    """A cache directory that holds a file that is not a database, or that
+    cannot be made because a file is in the way."""
+    if case == "not-a-database":
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "embeddings.sqlite3").write_text("not a database\n")
+        return tmp_path / "c"
+    (tmp_path / "f").write_text("")
+    return tmp_path / "f" if case == "a-file" else tmp_path / "f" / "c"
+
+
+@pytest.mark.parametrize("case", ["not-a-database", "a-file", "under-a-file"])
+def test_unusable_cache_is_backend_error_naming_the_file(tmp_path, case, capsys):
+    cache = unusable_cache(tmp_path, case)
+    sentences = tmp_path / "s.tsv"
+    sentences.write_text("p1\tfine\n")
+    args = ["--in", str(sentences), "--out", str(tmp_path / "e.csv"), "--cache", str(cache)]
+    assert main(["embed", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"backend error: embedding cache {cache / 'embeddings.sqlite3'}: ")
+
+
+BAD_SCHEMAS = {
+    "column-key": (NOTES_SCHEMA.replace("kind: free_text", "kind: free_text, lable: Note"),
+                   "'lable'"),
+    "meta-key": (NOTES_SCHEMA.replace("table_title", "titel"), "'titel'"),
+    "top-level-key": (NOTES_SCHEMA.replace("entity_column", "entity_colum"), "'entity_colum'"),
+    "yaml-syntax": ("entity_column: [id\n", ""),
+    "not-utf8": ("entity_column: caf\udcff\n", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCHEMAS))
+def test_bad_schema_file_is_validation_error_naming_the_file(tmp_path, case, capsys):
+    text, key = BAD_SCHEMAS[case]
+    schema = tmp_path / "notes.schema.yaml"
+    schema.write_bytes(text.encode("utf-8", "surrogateescape"))
+    data = tmp_path / "notes.csv"
+    data.write_text("id,note\np1,x\n")
+    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.tsv")]
+    assert main(["serialize", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {schema}: ") and key in err
+    assert not (tmp_path / "s.tsv").exists()

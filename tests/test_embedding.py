@@ -1,5 +1,7 @@
+import contextlib
 import http.server
 import json
+import sqlite3
 import threading
 import time
 
@@ -170,17 +172,37 @@ class TestCachingBackend:
 
     def test_cache_keyed_by_backend_id(self, tmp_path):
         a = CachingBackend(StubBackend(dim=8), tmp_path / "c")
-        path_a = a._path("hello")
+        key_a = a._key("hello")
         b = CachingBackend(HashingBackend(dim=8), tmp_path / "c")
-        assert path_a != b._path("hello")
+        assert key_a != b._key("hello")
+
+    @pytest.mark.parametrize(
+        "damage", [lambda b: b[:-1], lambda b: b[:8], lambda b: b + b, lambda b: b""],
+        ids=["one-byte-short", "one-value", "twice-as-long", "empty"],
+    )
+    def test_blob_of_wrong_length_is_fetched_again_and_overwritten(self, tmp_path, damage):
+        inner = StubBackend()
+        cached = CachingBackend(inner, tmp_path)
+        expected = cached.embed_batch(["one", "two"])
+        key = cached._key("one")
+        with contextlib.closing(sqlite3.connect(tmp_path / CachingBackend.FILE)) as db, db:
+            (blob,) = db.execute("SELECT vec FROM vectors WHERE key = ?", (key,)).fetchone()
+            db.execute("UPDATE vectors SET vec = ? WHERE key = ?", (damage(blob), key))
+        calls = inner.calls
+        np.testing.assert_array_equal(cached.embed_batch(["one", "two"]), expected)
+        assert inner.calls == calls + 1
+        with contextlib.closing(sqlite3.connect(tmp_path / CachingBackend.FILE)) as db:
+            (stored,) = db.execute("SELECT vec FROM vectors WHERE key = ?", (key,)).fetchone()
+        assert stored == blob
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     dim = 4
     fail = False
-    # "ok", "slow" (no reply within SLOW_S), or a malformed reply: "not_json",
-    # "no_embeddings", "no_dim", "strings" (non-numeric values), "ragged" or
-    # "null" (a JSON null value).
+    # "ok", "slow" (no reply within SLOW_S), "hangup" (the connection is
+    # closed without a reply), "no_content" (HTTP 204), or a malformed reply:
+    # "not_json", "no_embeddings", "no_dim", "strings" (non-numeric values),
+    # "ragged" or "null" (a JSON null value).
     reply = "ok"
     SLOW_S = 0.5
 
@@ -189,6 +211,13 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         payload = json.loads(self.rfile.read(length))
         if self.reply == "slow":
             time.sleep(self.SLOW_S)
+            return
+        if self.reply == "hangup":
+            self.close_connection = True
+            return
+        if self.reply == "no_content":
+            self.send_response(204)
+            self.end_headers()
             return
         if self.fail:
             self.send_response(500)
@@ -211,6 +240,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         body = b"<html>busy</html>" if self.reply == "not_json" else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
@@ -218,14 +248,32 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def embed_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
+class _KeepAliveHandler(_Handler):
+    """HTTP/1.1: the connection stays open until the client closes it, or
+    until ``timeout`` seconds pass without a request."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5
+
+
+@contextlib.contextmanager
+def serve(handler):
+    """A one-thread server that handles one connection at a time."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
     # A short poll interval lets shutdown() return without waiting 0.5 s.
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/embed"
-    server.shutdown()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/embed"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture()
+def embed_server():
+    with serve(_Handler) as url:
+        yield url
 
 
 class TestRemoteBackend:
@@ -256,6 +304,8 @@ class TestRemoteBackend:
             ("strings", "non-numeric"),
             ("ragged", "malformed"),
             ("null", "non-numeric"),
+            ("hangup", "unreachable"),
+            ("no_content", "HTTP 204"),
         ],
     )
     def test_malformed_reply_is_backend_error(self, embed_server, reply, message):
@@ -275,10 +325,24 @@ class TestRemoteBackend:
         finally:
             _Handler.reply = "ok"
 
+    def test_connection_is_closed_after_each_call(self):
+        # The server would wait on a connection left open for its next request
+        # and serve no other client meanwhile.
+        with serve(_KeepAliveHandler) as url:
+            first = RemoteBackend(url, dim=4)
+            np.testing.assert_array_equal(first.embed_batch(["ab"]), [[2.0] * 4])
+            second = RemoteBackend(url, dim=4, timeout=1.0)
+            np.testing.assert_array_equal(second.embed_batch(["abc"]), [[3.0] * 4])
+
     def test_unreachable_is_backend_error(self):
         backend = RemoteBackend("http://127.0.0.1:9/embed", dim=4, timeout=0.5)
         with pytest.raises(BackendError, match="unreachable"):
             backend.embed_batch(["x"])
+
+    @pytest.mark.parametrize("url", ["http://[::1", "notaurl", "file:///dev/null"])
+    def test_url_that_is_not_http_is_backend_error(self, url):
+        with pytest.raises(BackendError, match="unreachable"):
+            RemoteBackend(url, dim=4).embed_batch(["x"])
 
 
 class TestMakeBackend:
