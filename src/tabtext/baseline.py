@@ -10,12 +10,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .data_model import CellValue, ColumnKind, Row, TableSchema
-from .errors import StageError
+from .data_model import CellValue, ColumnKind, Row, TableSchema, group_rows
 from .formats import read_features, write_features
 
 SERIES_STATS = ("mean", "min", "max", "variance", "average_change", "count")
@@ -102,33 +101,48 @@ def summarize_series(values: Sequence[tuple[float, float]]) -> dict[str, float]:
 def build_baseline_features(
     sources: Sequence[tuple[str, TableSchema, Sequence[Row]]],
     entity_ids: Sequence[str],
-    labels: Optional[np.ndarray] = None,
+    labels: Optional[Mapping[str, int]] = None,
     max_categories: int = 10,
 ) -> FeatureMatrix:
     """Assemble the traditional feature matrix across all sources.
 
-    ``entity_ids`` is the fixed entity universe; a time-series row whose
-    entity is outside it is a consistency error. Feature names are fully
-    qualified as "table.column[.stat-or-category]".
+    ``entity_ids`` is the entity universe and ``labels`` maps each entity to
+    its label; each source's rows are grouped by :func:`group_rows`. A numeric
+    column of a time-series source expands into SERIES_STATS. Every other
+    column reads each entity's latest row (the first on tied timestamps; a
+    static source's only row), and an entity without one reads a missing cell.
+    Feature names are fully qualified as "table.column[.stat-or-category]".
     """
     universe = list(entity_ids)
-    position = {e: i for i, e in enumerate(universe)}
     names: list[str] = []
     columns: list[np.ndarray] = []
 
     for source, schema, rows in sources:
-        is_series = schema.time_column is not None
-        if is_series:
-            for row in rows:
-                if row.entity_id not in position:
-                    raise StageError(
-                        "baseline",
-                        f"entity '{row.entity_id}' in time-series source "
-                        f"'{source}' is not in the entity universe",
-                    )
-            _add_series_source(source, schema, rows, position, names, columns, max_categories)
-        else:
-            _add_static_source(source, schema, rows, position, names, columns, max_categories)
+        grouped = group_rows(source, schema, rows, universe, "baseline")
+        per_entity = [grouped.get(e, []) for e in universe]
+        latest = [max(r, key=lambda row: row.timestamp) if r else None for r in per_entity]
+        for col in schema.value_columns:
+            if col.kind is ColumnKind.NUMERIC and schema.time_column is not None:
+                stats = [
+                    summarize_series([
+                        (row.timestamp, value)
+                        for row in entity_rows
+                        if (value := _number(row.cells[col.name])) is not None
+                    ])
+                    for entity_rows in per_entity
+                ]
+                names.extend(f"{source}.{col.name}.{stat}" for stat in SERIES_STATS)
+                columns.extend(np.array([s[stat] for s in stats]) for stat in SERIES_STATS)
+                continue
+            cells = [CellValue.absent("") if row is None else row.cells[col.name] for row in latest]
+            if col.kind is ColumnKind.NUMERIC:
+                names.append(f"{source}.{col.name}")
+                columns.append(np.array([_number(cell, 0.0) for cell in cells]))
+            elif col.kind in (ColumnKind.CATEGORICAL, ColumnKind.BINARY):
+                cats, matrix = encode_categorical(cells, max_categories)
+                names.extend(f"{source}.{col.name}.{cat}" for cat in cats)
+                columns.extend(matrix.T)
+            # free_text and timestamp columns are dropped by the baseline
 
     values = (
         np.column_stack(columns)
@@ -136,75 +150,13 @@ def build_baseline_features(
         else np.zeros((len(universe), 0), dtype=np.float64)
     )
     return FeatureMatrix(
-        entity_ids=universe, feature_names=names, values=values, labels=labels
+        entity_ids=universe,
+        feature_names=names,
+        values=values,
+        labels=[labels[e] for e in universe] if labels else None,
     )
 
 
-def _add_static_source(source, schema, rows, position, names, columns, max_categories):
-    by_entity: dict[str, Row] = {}
-    for row in rows:
-        if row.entity_id in by_entity:
-            raise StageError(
-                "baseline",
-                f"static source '{source}' has multiple rows for entity "
-                f"'{row.entity_id}'",
-            )
-        by_entity[row.entity_id] = row
-    n = len(position)
-    for col in schema.value_columns:
-        cells = [
-            by_entity[e].cells[col.name] if e in by_entity else CellValue.absent("")
-            for e in position
-        ]
-        if col.kind is ColumnKind.NUMERIC:
-            vec = np.zeros(n, dtype=np.float64)
-            for i, cell in enumerate(cells):
-                if not cell.missing and cell.parsed is not None:
-                    vec[i] = cell.parsed
-            names.append(f"{source}.{col.name}")
-            columns.append(vec)
-        elif col.kind in (ColumnKind.CATEGORICAL, ColumnKind.BINARY):
-            cats, matrix = encode_categorical(cells, max_categories)
-            for j, cat in enumerate(cats):
-                names.append(f"{source}.{col.name}.{cat}")
-                columns.append(matrix[:, j])
-        # free_text and timestamp columns are dropped by the baseline
-
-
-def _add_series_source(source, schema, rows, position, names, columns, max_categories):
-    n = len(position)
-    grouped: dict[str, list[Row]] = {}
-    for row in rows:
-        grouped.setdefault(row.entity_id, []).append(row)
-
-    for col in schema.value_columns:
-        if col.kind is ColumnKind.NUMERIC:
-            stats_per_entity = np.zeros((n, len(SERIES_STATS)), dtype=np.float64)
-            for entity, entity_rows in grouped.items():
-                series = [
-                    (row.timestamp, cell.parsed)
-                    for row in entity_rows
-                    for cell in [row.cells[col.name]]
-                    if not cell.missing and cell.parsed is not None
-                ]
-                stats = summarize_series(series)
-                stats_per_entity[position[entity]] = [stats[s] for s in SERIES_STATS]
-            for j, stat in enumerate(SERIES_STATS):
-                names.append(f"{source}.{col.name}.{stat}")
-                columns.append(stats_per_entity[:, j])
-        elif col.kind in (ColumnKind.CATEGORICAL, ColumnKind.BINARY):
-            # categorical series: encode the most recent observation
-            cells = []
-            latest = {
-                entity: max(entity_rows, key=lambda r: r.timestamp)
-                for entity, entity_rows in grouped.items()
-            }
-            for entity in position:
-                if entity in latest:
-                    cells.append(latest[entity].cells[col.name])
-                else:
-                    cells.append(CellValue.absent(""))
-            cats, matrix = encode_categorical(cells, max_categories)
-            for j, cat in enumerate(cats):
-                names.append(f"{source}.{col.name}.{cat}")
-                columns.append(matrix[:, j])
+def _number(cell: CellValue, default: Optional[float] = None) -> Optional[float]:
+    """The cell's finite value, or ``default`` when it is missing or no number."""
+    return default if cell.missing or cell.parsed is None else cell.parsed

@@ -19,14 +19,8 @@ from .data_model import load_schema
 from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, embed_text, make_backend
 from .errors import BackendError, StageError, TabTextError, ValidationError
 from .evaluation import SplitSpec, evaluate_features
-from .formats import load_labels, read_embeddings, read_sentences, write_embeddings, write_sentences
-from .pipeline import (
-    load_run_config,
-    load_sources,
-    load_table,
-    run_compare,
-    run_grid,
-)
+from .formats import read_embeddings, read_sentences, write_embeddings, write_sentences
+from .pipeline import load_inputs, load_run_config, load_table, run_compare, run_grid
 from .serializer import (
     CombineMode,
     MissingPolicy,
@@ -62,9 +56,9 @@ def _ser_options(fn):
 @cli.command("gen-corpus")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--n-entities", type=int, default=1590)
-@click.option("--positive-rate", type=float, default=121 / 1590)
-@click.option("--missingness-rate", type=float, default=0.2)
+@click.option("--n-entities", type=click.IntRange(min=0), default=1590)
+@click.option("--positive-rate", type=click.FloatRange(0, 1), default=121 / 1590)
+@click.option("--missingness-rate", type=click.FloatRange(0, 1), default=0.2)
 @click.option("--informative-missingness", is_flag=True, default=False)
 def gen_corpus(out_dir, seed, n_entities, positive_rate, missingness_rate, informative_missingness):
     """Generate a seeded synthetic corpus (data + schemas + labels)."""
@@ -98,8 +92,8 @@ def serialize(data, schema, out_path, **axes):
 
 def _backend_options(fn):
     fn = click.option("--backend", default="hashing")(fn)
-    fn = click.option("--dim", type=int, default=DEFAULT_DIM)(fn)
-    fn = click.option("--max-chars", type=int, default=DEFAULT_MAX_CHARS)(fn)
+    fn = click.option("--dim", type=click.IntRange(min=1), default=DEFAULT_DIM)(fn)
+    fn = click.option("--max-chars", type=click.IntRange(min=1), default=DEFAULT_MAX_CHARS)(fn)
     fn = click.option("--cache", type=click.Path(), default=None)(fn)
     fn = click.option("--url", default=None)(fn)
     fn = click.option("--model-dir", type=click.Path(), default=None)(fn)
@@ -149,10 +143,8 @@ def aggregate(in_path, out_path, normalize):
 def baseline(config_path, out_path):
     """Build the traditional feature matrix for all configured sources."""
     config = load_run_config(config_path)
-    sources = load_sources(config)
-    entity_ids, labels = load_labels(config.labels)
-    label_vec = np.array([labels[e] for e in entity_ids], dtype=np.int64)
-    matrix = build_baseline_features(sources, entity_ids, label_vec, config.max_categories)
+    sources, entity_ids, labels = load_inputs(config, "baseline")
+    matrix = build_baseline_features(sources, entity_ids, labels, config.max_categories)
     target = Path(out_path) if out_path else config.output_dir / "baseline_features.csv"
     target.parent.mkdir(parents=True, exist_ok=True)
     matrix.to_csv(target)

@@ -1,7 +1,7 @@
 """Schemas, cell values, and rows shared by every other module.
 
 A table is described by a declarative :class:`TableSchema` (usually loaded from
-a YAML sidecar file) and parsed from delimiter-separated text into typed
+a YAML sidecar file) and parsed from comma-separated text into typed
 :class:`Row` records. Missing values keep their original token verbatim so the
 "keep original" serialization policy can reproduce them exactly.
 """
@@ -17,7 +17,7 @@ from typing import IO, Iterable, Mapping, Optional, Union
 
 import yaml
 
-from .errors import RowParseError, SchemaError, SchemaMismatchError, ValidationError
+from .errors import RowParseError, SchemaError, SchemaMismatchError, StageError, ValidationError
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 
@@ -184,10 +184,9 @@ def parse_table(
     data: Union[bytes, str, IO[str]],
     schema: TableSchema,
     *,
-    delimiter: str = ",",
     missing_tokens: Iterable[str] = DEFAULT_MISSING_TOKENS,
 ) -> list[Row]:
-    """Parse delimiter-separated text with a header row into typed rows.
+    """Parse comma-separated text with a header row into typed rows.
 
     Each record has one field per (distinct) header name. Fields whose
     lowercased value is in ``missing_tokens`` become missing cells that keep
@@ -205,7 +204,7 @@ def parse_table(
     else:
         handle = data
 
-    reader = csv.reader(handle, delimiter=delimiter)
+    reader = csv.reader(handle)
     try:
         header = next(reader)
     except StopIteration:
@@ -247,3 +246,38 @@ def parse_table(
             timestamp = tcell.parsed
         rows.append(Row(entity_id=entity_id, cells=cells, timestamp=timestamp))
     return rows
+
+
+def group_rows(
+    source: str,
+    schema: TableSchema,
+    rows: Iterable[Row],
+    universe: Iterable[str],
+    stage: str,
+) -> dict[str, list[Row]]:
+    """One source's rows by entity, each entity's in row order.
+
+    This is the rule that tells the two kinds of source apart: a time-series
+    source (its schema has a ``time_column``) may hold many rows per entity,
+    but only for entities in ``universe``; a static source holds at most one
+    row per entity. A row that breaks it is a StageError of ``stage``.
+    """
+    known = set(universe)
+    is_series = schema.time_column is not None
+    grouped: dict[str, list[Row]] = {}
+    for row in rows:
+        if is_series and row.entity_id not in known:
+            raise StageError(
+                stage,
+                f"entity '{row.entity_id}' in time-series source '{source}' "
+                "is not in the entity universe",
+            )
+        entries = grouped.setdefault(row.entity_id, [])
+        if entries and not is_series:
+            raise StageError(
+                stage,
+                f"static source '{source}' has multiple rows for entity "
+                f"'{row.entity_id}'",
+            )
+        entries.append(row)
+    return grouped

@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .baseline import FeatureMatrix, build_baseline_features
-from .data_model import Row, TableSchema, load_schema, parse_table, read_section
+from .data_model import Row, TableSchema, group_rows, load_schema, parse_table, read_section
 from .embedding import (
     DEFAULT_DIM,
     DEFAULT_MAX_CHARS,
@@ -211,12 +211,22 @@ def load_table(data: Union[str, Path], schema: TableSchema) -> list[Row]:
         raise ValidationError(f"{data}: {exc}") from None
 
 
-def load_sources(config: RunConfig) -> list[tuple[str, TableSchema, list[Row]]]:
-    loaded = []
-    for source in config.sources:
-        schema = load_schema(source.schema)
-        loaded.append((source.name, schema, load_table(source.data, schema)))
-    return loaded
+def load_inputs(
+    config: RunConfig, command: str
+) -> tuple[list[tuple[str, TableSchema, list[Row]]], list[str], dict[str, int]]:
+    """Validate ``config``, then parse its sources and its labels file, which
+    ``command`` requires: (sources as (name, schema, rows), entity ids,
+    labels by entity)."""
+    config.validate()
+    if config.labels is None:
+        raise ValidationError(f"{command} requires a labels file")
+    with stage("parse"):
+        sources = []
+        for source in config.sources:
+            schema = load_schema(source.schema)
+            sources.append((source.name, schema, load_table(source.data, schema)))
+        entity_ids, labels = load_labels(config.labels)
+    return sources, entity_ids, labels
 
 
 def build_tabtext_features(
@@ -229,47 +239,31 @@ def build_tabtext_features(
 ) -> FeatureMatrix:
     """Serialize, embed, and aggregate every entity into one feature row.
 
-    ``entity_ids`` is the entity universe: a time-series row outside it is an
-    error, and a static source holds at most one row per entity. Separate mode
+    ``entity_ids`` is the entity universe, and each source's rows are grouped
+    by :func:`~tabtext.data_model.group_rows`. Separate mode
     yields one embedding block per source (concatenated); single-paragraph
     mode joins all static sources' sentences into one paragraph per entity
     before embedding, then averages it with the per-source time-series
     aggregates so the dimension stays the backend dimension.
     """
     universe = list(entity_ids)
-    known = set(universe)
     single = ser_config.combine_sources is CombineMode.SINGLE_PARAGRAPH
-
-    # per source: entity -> list of (timestamp, sentence)
-    grouped: list[tuple[str, bool, dict[str, list[tuple[Optional[float], str]]]]] = []
-    for name, schema, rows in sources:
-        is_series = schema.time_column is not None
-        per_entity: dict[str, list[tuple[Optional[float], str]]] = {}
-        for row in rows:
-            if is_series and row.entity_id not in known:
-                raise StageError(
-                    "features",
-                    f"entity '{row.entity_id}' in time-series source '{name}' "
-                    "is not in the entity universe",
-                )
-            entries = per_entity.setdefault(row.entity_id, [])
-            if not is_series and entries:
-                raise StageError(
-                    "features",
-                    f"static source '{name}' has multiple rows for entity "
-                    f"'{row.entity_id}'",
-                )
-            entries.append((row.timestamp, serialize_row(schema, row, ser_config)))
-        grouped.append((name, is_series, per_entity))
+    grouped = [
+        (name, schema, group_rows(name, schema, rows, universe, "features"))
+        for name, schema, rows in sources
+    ]
 
     vectors = []
     zero = np.zeros(backend.dim, dtype=np.float64)
     for entity in universe:
         parts: list[tuple[str, list[tuple[Optional[float], np.ndarray]]]] = []
         static_texts: list[str] = []
-        for name, is_series, per_entity in grouped:
-            entries = per_entity.get(entity, [])
-            if not is_series:
+        for name, schema, per_entity in grouped:
+            entries = [
+                (row.timestamp, serialize_row(schema, row, ser_config))
+                for row in per_entity.get(entity, [])
+            ]
+            if schema.time_column is None:
                 entries = entries or [(None, "")]
                 if single:
                     static_texts.append(entries[0][1])
@@ -287,14 +281,11 @@ def build_tabtext_features(
         names = [f"text.e{i}" for i in range(backend.dim)]
     else:
         names = [f"{name}.e{i}" for name, _, _ in grouped for i in range(backend.dim)]
-    label_vec = (
-        np.array([labels[e] for e in universe], dtype=np.int64) if labels else None
-    )
     return FeatureMatrix(
         entity_ids=universe,
         feature_names=names,
         values=np.stack(vectors),
-        labels=label_vec,
+        labels=[labels[e] for e in universe] if labels else None,
     )
 
 
@@ -323,25 +314,18 @@ def run_compare(config: RunConfig) -> dict:
 
     Returns the manifest dict (also written to manifest.json).
     """
-    config.validate()
-    if config.labels is None:
-        raise ValidationError("compare requires a labels file")
+    sources, entity_ids, labels = load_inputs(config, "compare")
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     backend = config.make_backend()
-
-    with stage("parse"):
-        sources = load_sources(config)
-        entity_ids, labels = load_labels(config.labels)
 
     with stage("features", items=len(entity_ids)):
         tabtext = build_tabtext_features(
             sources, entity_ids, labels, config.serialization, backend, config.normalize
         )
     with stage("baseline", items=len(entity_ids)):
-        label_vec = np.array([labels[e] for e in entity_ids], dtype=np.int64)
         base = build_baseline_features(
-            sources, entity_ids, label_vec, config.max_categories
+            sources, entity_ids, labels, config.max_categories
         )
 
     with stage("evaluate"):
@@ -384,16 +368,10 @@ def run_compare(config: RunConfig) -> dict:
 
 def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
     """Run the ablation grid and write the report files."""
-    config.validate()
-    if config.labels is None:
-        raise ValidationError("ablation requires a labels file")
+    sources, entity_ids, labels = load_inputs(config, "ablation")
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     backend = config.make_backend()
-
-    with stage("parse"):
-        sources = load_sources(config)
-        entity_ids, labels = load_labels(config.labels)
 
     def builder(point: SerializationConfig) -> FeatureMatrix:
         return build_tabtext_features(

@@ -7,8 +7,7 @@ the ``normalize`` flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -16,16 +15,16 @@ from .errors import StageError
 from .serializer import CombineMode
 
 
-@dataclass(frozen=True)
-class TimedEmbedding:
+class TimedEmbedding(NamedTuple):
     timestamp: float
     embedding: np.ndarray
 
 
 def aggregate_timed(
-    series: Sequence[TimedEmbedding], normalize: bool = True
+    series: Sequence[tuple[float, np.ndarray]], normalize: bool = True
 ) -> np.ndarray:
-    """Aggregate one entity's timed embeddings with timestamp weights.
+    """Aggregate one entity's (timestamp, embedding) pairs, such as
+    :class:`TimedEmbedding`, with timestamp weights.
 
     All-zero timestamps fall back to the unweighted mean (normalized) or the
     zero vector (unnormalized). Summation order is fixed by sorting on
@@ -33,18 +32,16 @@ def aggregate_timed(
     """
     if len(series) == 0:
         raise ValueError("cannot aggregate an empty series")
-    dim = len(series[0].embedding)
-    for item in series:
-        if item.timestamp < 0:
-            raise ValueError(f"negative timestamp {item.timestamp}")
-        if len(item.embedding) != dim:
-            raise ValueError(
-                f"dimension mismatch: {len(item.embedding)} != {dim}"
-            )
+    dim = len(series[0][1])
+    for timestamp, embedding in series:
+        if timestamp < 0:
+            raise ValueError(f"negative timestamp {timestamp}")
+        if len(embedding) != dim:
+            raise ValueError(f"dimension mismatch: {len(embedding)} != {dim}")
 
-    order = sorted(range(len(series)), key=lambda i: (series[i].timestamp, i))
-    vectors = np.stack([np.asarray(series[i].embedding, dtype=np.float64) for i in order])
-    weights = np.array([series[i].timestamp for i in order], dtype=np.float64)
+    order = sorted(range(len(series)), key=lambda i: (series[i][0], i))
+    vectors = np.stack([np.asarray(series[i][1], dtype=np.float64) for i in order])
+    weights = np.array([series[i][0] for i in order], dtype=np.float64)
 
     total = weights.sum()
     if total == 0.0:
@@ -95,8 +92,7 @@ def aggregate_entity(
                     f"source '{source}' mixes timestamped and static rows "
                     f"for entity '{entity_id}'",
                 )
-            series = [TimedEmbedding(t, vec) for t, vec in rows]
-            parts.append(aggregate_timed(series, normalize=normalize))
+            parts.append(aggregate_timed(rows, normalize=normalize))
 
     if mode is CombineMode.SINGLE_PARAGRAPH:
         return np.stack(parts).mean(axis=0)

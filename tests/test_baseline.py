@@ -207,6 +207,59 @@ class TestBuildBaselineFeatures:
         np.testing.assert_array_equal(matrix.values[idx], 0.0)
 
 
+WARD_SCHEMA = TableSchema(
+    meta=TableMeta(table_title="Ward stays"),
+    columns=(
+        ColumnSpec(name="id", kind=ColumnKind.CATEGORICAL),
+        ColumnSpec(name="t", kind=ColumnKind.TIMESTAMP),
+        ColumnSpec(name="ward", kind=ColumnKind.CATEGORICAL),
+        ColumnSpec(name="icu", kind=ColumnKind.BINARY),
+    ),
+    entity_column="id",
+    time_column="t",
+)
+
+
+def ward_features(csv_rows, entity_ids):
+    rows = parse_table("id,t,ward,icu\n" + csv_rows, WARD_SCHEMA)
+    return build_baseline_features([("stays", WARD_SCHEMA, rows)], entity_ids)
+
+
+class TestCategoricalSeriesAndUniverse:
+    """Paths the synthetic corpus never runs: its time series are numeric."""
+
+    def test_categorical_series_column_encodes_latest_row(self):
+        matrix = ward_features("p1,2,B,1\np1,5,A,0\np1,3,C,1\np2,1,C,1\n", ["p1", "p2"])
+        assert matrix.feature_names == [
+            "stays.ward.A", "stays.ward.C", "stays.ward.other",
+            "stays.icu.0", "stays.icu.1", "stays.icu.other",
+        ]
+        np.testing.assert_array_equal(matrix.values, [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]])
+
+    def test_tied_latest_timestamps_take_the_first_row(self):
+        matrix = ward_features("p1,4,B,1\np1,4,A,0\np1,1,C,0\n", ["p1"])
+        assert matrix.feature_names[:2] == ["stays.ward.B", "stays.ward.other"]
+        np.testing.assert_array_equal(matrix.values, [[1, 0, 1, 0]])
+
+    def test_entity_without_series_rows_gets_zeros(self):
+        matrix = ward_features("p1,2,B,1\n", ["p1", "p2"])
+        np.testing.assert_array_equal(matrix.values[1], 0.0)
+        assert matrix.values[0].sum() == 2
+
+    def test_static_row_outside_universe_is_ignored(self):
+        # p3 (red) is not in the universe, so red and blue tie at one row each
+        matrix = build_baseline_features(fixture_sources(), ["p1", "p2"], max_categories=1)
+        assert matrix.entity_ids == ["p1", "p2"]
+        assert "demo.color.blue" in matrix.feature_names
+        age = matrix.values[:, matrix.feature_names.index("demo.age")]
+        np.testing.assert_array_equal(age, [50.0, 0.0])
+
+    def test_static_negative_zero_keeps_its_sign(self):
+        rows = parse_table("id,age,height,weight,color,note\np1,-0,-0.0,0,a,x\n", STATIC_SCHEMA)
+        matrix = build_baseline_features([("demo", STATIC_SCHEMA, rows)], ["p1"])
+        np.testing.assert_array_equal(np.signbit(matrix.values[0, :3]), [True, True, False])
+
+
 class TestFeatureMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -147,7 +147,38 @@ def test_bad_flag_usage_is_validation_error():
     assert main(["eval"]) == 1
 
 
+def test_baseline_without_labels_is_validation_error(corpus, tmp_path, capsys):
+    config = write_config(corpus, tmp_path / "out", labels=None)
+    assert main(["baseline", "--config", str(config)]) == 1
+    assert "validation error: baseline requires a labels file" in capsys.readouterr().err
+
+
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("embed", "--dim", "0"),
+        ("embed", "--max-chars", "0"),
+        ("gen-corpus", "--positive-rate", "2"),
+        ("gen-corpus", "--missingness-rate", "2"),
+        ("gen-corpus", "--n-entities", "-1"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(tmp_path, command, flag, value):
+    sentences = tmp_path / "sentences.tsv"
+    sentences.write_text("p1\tfine\n")
+    args = ["--out", str(tmp_path / "out")]
+    if command == "embed":
+        args += ["--in", str(sentences)]
+    result = subprocess.run(
+        [sys.executable, "-m", "tabtext.cli", command, *args, flag, value],
+        capture_output=True, text=True, env=SRC_ENV,
+    )
+    assert result.returncode == 1
+    assert f"Invalid value for '{flag}'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def modules_loaded_by_import(names):

@@ -8,10 +8,11 @@ from tabtext.data_model import (
     ColumnSpec,
     TableMeta,
     TableSchema,
+    group_rows,
     load_schema,
     parse_table,
 )
-from tabtext.errors import RowParseError, SchemaError, SchemaMismatchError
+from tabtext.errors import RowParseError, SchemaError, SchemaMismatchError, StageError
 
 
 def make_schema(time_column=None, extra_cols=()):
@@ -164,6 +165,28 @@ class TestParseTable:
         rows = parse_table("id,age\np1,zero\np2,0\n", make_schema())
         assert not rows[0].cells["age"].missing
         assert not rows[1].cells["age"].missing
+
+
+class TestGroupRows:
+    def test_series_rows_keep_their_order_per_entity(self):
+        rows = parse_table("id,age,t\np2,1,9\np1,2,5\np2,3,1\n", make_schema("t"))
+        grouped = group_rows("vitals", make_schema("t"), rows, ["p1", "p2"], "features")
+        assert {e: [r.cells["age"].raw for r in rs] for e, rs in grouped.items()} == {
+            "p2": ["1", "3"],
+            "p1": ["2"],
+        }
+
+    @pytest.mark.parametrize(
+        "time_column, text, message",
+        [
+            ("t", "id,age,t\np1,1,1\np9,2,1\n", "entity 'p9' in time-series source 'src' is not"),
+            (None, "id,age\np9,1\np9,2\n", "static source 'src' has multiple rows for entity 'p9'"),
+        ],
+    )
+    def test_breach_is_stage_error_of_the_caller(self, time_column, text, message):
+        rows = parse_table(text, make_schema(time_column))
+        with pytest.raises(StageError, match=f"stage 'baseline': {message}"):
+            group_rows("src", make_schema(time_column), rows, ["p1"], "baseline")
 
 
 class TestCellValue:
