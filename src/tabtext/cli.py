@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from .baseline import FeatureMatrix, build_baseline_features
-from .data_model import load_schema
+from .data_model import from_dict, load_schema
 from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, embed_text, make_backend
 from .errors import BackendError, StageError, TabTextError, ValidationError
 from .evaluation import SplitSpec, evaluate_features
@@ -82,7 +81,7 @@ def serialize(data, schema, out_path, **axes):
     """Serialize a table to a sentence TSV, one line per row."""
     table_schema = load_schema(schema)
     rows = load_table(data, table_schema)
-    config = SerializationConfig.from_dict(axes)
+    config = from_dict(SerializationConfig, axes, "serialization")
     write_sentences(
         out_path,
         ((row.entity_id, row.timestamp, serialize_row(table_schema, row, config)) for row in rows),
@@ -158,8 +157,8 @@ def baseline(config_path, out_path):
 @click.option("--stratified/--no-stratified", default=True)
 def eval_cmd(features_path, seed, train_fraction, stratified):
     """Split, fit the built-in classifier, and print test AUROC."""
-    matrix = FeatureMatrix.from_csv(features_path)
     spec = SplitSpec(train_fraction=train_fraction, seed=seed, stratified=stratified)
+    matrix = FeatureMatrix.from_csv(features_path)
     score, shash = evaluate_features(matrix, spec)
     click.echo(f"test AUROC: {score:.6f} (split {shash})")
 
@@ -172,9 +171,7 @@ def eval_cmd(features_path, seed, train_fraction, stratified):
 @click.option("--grid-extended", is_flag=True, default=False)
 def ablate(config_path, seed, train_fraction, backend, grid_extended):
     """Run the sentence-representation ablation grid."""
-    config = load_run_config(config_path, backend_name=backend)
-    overrides = {"seed": seed, "train_fraction": train_fraction}
-    config.split = replace(config.split, **{k: v for k, v in overrides.items() if v is not None})
+    config = load_run_config(config_path, seed=seed, train_fraction=train_fraction, backend=backend)
     report = run_grid(config, extended=grid_extended)
     click.echo(report.render())
 
@@ -185,9 +182,7 @@ def ablate(config_path, seed, train_fraction, backend, grid_extended):
 @click.option("--repeats", type=int, default=None)
 def compare(config_path, seed, repeats):
     """Run TabText and the traditional baseline, report both AUROCs."""
-    config = load_run_config(config_path, repeats=repeats)
-    if seed is not None:
-        config.split = replace(config.split, seed=seed)
+    config = load_run_config(config_path, seed=seed, repeats=repeats)
     manifest = run_compare(config)
     results = manifest["results"]
     click.echo(f"Traditional AUROC: {results['baseline_auroc']:.6f}")

@@ -10,16 +10,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Union
+from typing import IO, Iterable, Iterator, Mapping, Optional, Union
 
 import yaml
 
 from .errors import RowParseError, SchemaError, SchemaMismatchError, StageError, ValidationError
 
-DEFAULT_MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
+MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 
 PLACEHOLDER = "{value}"
 
@@ -132,18 +132,44 @@ class Row:
     timestamp: Optional[float] = None
 
 
+# What a key of a config file takes, by the type of its default.
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+          list: "a list", dict: "a mapping"}
+
+
 def read_section(doc: object, defaults: Mapping[str, object], where: str) -> dict:
     """``defaults`` updated from the mapping ``doc`` of a config file. A key
-    that ``defaults`` lacks, or a value that is not a boolean where the default
-    is one, is a ValidationError naming the key."""
+    that ``defaults`` lacks, or a value without its default's type, is a
+    ValidationError naming the key: a flag takes only a boolean, an int key an
+    integer that is not a boolean, a float key an int or a float, and a key
+    whose default is None any value."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} must be a mapping, not {doc!r}")
     for key, value in doc.items():
         if key not in defaults:
             raise ValidationError(f"unknown key {key!r} in {where}")
-        if isinstance(defaults[key], bool) and not isinstance(value, bool):
-            raise ValidationError(f"{key!r} in {where} must be true or false, not {value!r}")
+        kind = type(defaults[key])
+        if defaults[key] is None or (kind is float and type(value) is int):
+            continue
+        if type(value) is not kind:
+            raise ValidationError(f"{key!r} in {where} must be {_KINDS[kind]}, not {value!r}")
     return {**defaults, **doc}
+
+
+def to_dict(section: object) -> dict:
+    """The fields of the dataclass ``section`` by name, an enum as its value."""
+    values = {f.name: getattr(section, f.name) for f in fields(section)}
+    return {k: v.value if isinstance(v, Enum) else v for k, v in values.items()}
+
+
+def from_dict(cls: type, doc: object, where: str):
+    """The inverse of :func:`to_dict`: a ``cls`` from the mapping ``doc``, read
+    by :func:`read_section` with a default ``cls()``'s fields as defaults."""
+    values = read_section(doc, to_dict(cls()), where)
+    try:
+        return cls(**{f.name: type(f.default)(values[f.name]) for f in fields(cls)})
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 _SCHEMA_KEYS = dict.fromkeys(("meta", "columns", "entity_column", "time_column"))
@@ -180,20 +206,22 @@ def schema_from_dict(doc: object) -> TableSchema:
         raise SchemaError(f"malformed schema document: {exc}") from exc
 
 
-def parse_table(
-    data: Union[bytes, str, IO[str]],
-    schema: TableSchema,
-    *,
-    missing_tokens: Iterable[str] = DEFAULT_MISSING_TOKENS,
-) -> list[Row]:
+def _records(reader) -> Iterator[list[str]]:
+    """The records of ``reader``; one that csv cannot read is a RowParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise RowParseError(str(exc), reader.line_num) from None
+
+
+def parse_table(data: Union[bytes, str, IO[str]], schema: TableSchema) -> list[Row]:
     """Parse comma-separated text with a header row into typed rows.
 
     Each record has one field per (distinct) header name. Fields whose
-    lowercased value is in ``missing_tokens`` become missing cells that keep
+    lowercased value is in ``MISSING_TOKENS`` become missing cells that keep
     the original token. Numeric parsing is attempted for every field;
     ``parsed`` is set only when the value is a finite number.
     """
-    missing = {t.lower() for t in missing_tokens}
     if isinstance(data, bytes):
         try:
             handle: IO[str] = io.StringIO(data.decode("utf-8"))
@@ -205,8 +233,9 @@ def parse_table(
         handle = data
 
     reader = csv.reader(handle)
+    records = _records(reader)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise SchemaMismatchError("input has no header row") from None
 
@@ -220,7 +249,7 @@ def parse_table(
 
     width = len(header)
     rows: list[Row] = []
-    for record in reader:
+    for record in records:
         if len(record) != width:
             if not record:
                 continue
@@ -228,7 +257,7 @@ def parse_table(
         cells: dict[str, CellValue] = {}
         for col in schema.columns:
             raw = record[positions[col.name]]
-            if raw.lower() in missing:
+            if raw.lower() in MISSING_TOKENS:
                 cells[col.name] = CellValue.absent(raw)
             else:
                 cells[col.name] = CellValue.present(raw)

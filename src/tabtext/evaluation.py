@@ -9,19 +9,27 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .baseline import FeatureMatrix
+from .data_model import to_dict
 from .errors import StageError, ValidationError
 from .serializer import CombineMode, MissingPolicy, SerializationConfig
 
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """The ``evaluation`` section: a train/test split, repeated over seeds from ``seed``."""
+
     train_fraction: float = 0.8
     seed: int = 0
     stratified: bool = True
+    repeats: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError("train_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        if self.repeats < 1:
+            raise ValidationError("repeats must be >= 1")
 
 
 def split(
@@ -235,7 +243,7 @@ class AblationReport:
     def to_dict(self) -> dict:
         return {
             "rows": [
-                {**r.config.to_dict(), "test_auroc": r.test_auroc, "split_hash": r.split_hash}
+                {**to_dict(r.config), "test_auroc": r.test_auroc, "split_hash": r.split_hash}
                 for r in self.rows
             ],
             "axis_means": self.axis_means(),
@@ -292,6 +300,6 @@ def run_ablation(
         except StageError:
             raise
         except Exception as exc:
-            raise StageError("ablate", f"grid point {config.to_dict()} failed: {exc}") from exc
+            raise StageError("ablate", f"grid point {to_dict(config)} failed: {exc}") from exc
         rows.append(AblationRow(config=config, test_auroc=score, split_hash=shash))
     return AblationReport(rows=rows)

@@ -128,19 +128,24 @@ def _write_csv(path: PathLike, header: Sequence[str], blocks: Iterable[tuple[lis
 def read_csv(path: PathLike, min_width: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, fields) for the header of a CSV file, then for each
     non-blank record. The header needs ``min_width`` fields and each record
-    as many as the header; ``line`` is the ``csv.reader`` line number."""
+    as many as the header; ``line`` is the ``csv.reader`` line number. A
+    record that csv cannot read is a ValidationError naming the line."""
     with _utf8(path), open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        if len(header) < min_width:
-            raise _invalid(path, 1, f"header has {len(header)} fields, needs {min_width}")
-        yield 1, header
-        for fields in reader:
-            if len(fields) != len(header):
-                if not fields:
-                    continue
-                raise _invalid(path, reader.line_num, f"{len(fields)} fields, not {len(header)}")
-            yield reader.line_num, fields
+        try:
+            header = next(reader, [])
+            if len(header) < min_width:
+                raise _invalid(path, 1, f"header has {len(header)} fields, needs {min_width}")
+            yield 1, header
+            for fields in reader:
+                if len(fields) != len(header):
+                    if not fields:
+                        continue
+                    message = f"{len(fields)} fields, not {len(header)}"
+                    raise _invalid(path, reader.line_num, message)
+                yield reader.line_num, fields
+        except csv.Error as exc:
+            raise _invalid(path, reader.line_num, str(exc)) from None
 
 
 def write_embeddings(path: PathLike, dim: int, records: Iterable[tuple[str, str, np.ndarray]]):
@@ -183,9 +188,9 @@ def read_features(path: PathLike) -> tuple[list, list, np.ndarray, Optional[np.n
 
 
 def load_labels(path: PathLike) -> tuple[list[str], dict[str, int]]:
-    """Read the entity_id,label file; entity order is file order. Every
-    entity appears once with a label of 0 or 1; any other line is a
-    ValidationError that names its line number."""
+    """Read the entity_id,label file; entity order is file order. It lists
+    at least one entity, and every entity once with a label of 0 or 1; any
+    other line is a ValidationError that names its line number."""
     records = read_csv(path, 2)
     if len(next(records)[1]) != 2:
         raise _invalid(path, 1, "expected the header entity_id,label")
@@ -194,4 +199,6 @@ def load_labels(path: PathLike) -> tuple[list[str], dict[str, int]]:
         if entity in labels:
             raise _invalid(path, line, f"duplicate entity '{entity}'")
         labels[entity] = _label(path, line, label)
+    if not labels:
+        raise ValidationError(f"{path}: lists no entity")
     return list(labels), labels

@@ -20,7 +20,8 @@ import numpy as np
 import yaml
 
 from .baseline import FeatureMatrix, build_baseline_features
-from .data_model import Row, TableSchema, group_rows, load_schema, parse_table, read_section
+from .data_model import Row, TableSchema, from_dict, group_rows, load_schema, parse_table
+from .data_model import read_section, to_dict
 from .embedding import (
     DEFAULT_DIM,
     DEFAULT_MAX_CHARS,
@@ -50,6 +51,16 @@ class SourceConfig:
     schema: Path
 
 
+# The keys of the flat sections of a config file, each with the RunConfig
+# field it sets.
+FLAT_SECTIONS = {
+    "embedding": {"backend": "backend_name", "dim": "dim", "max_chars": "max_chars",
+                  "url": "backend_url", "model_dir": "model_dir", "cache": "cache_dir"},
+    "temporal": {"normalize": "normalize"},
+    "baseline": {"max_categories": "max_categories"},
+}
+
+
 @dataclass
 class RunConfig:
     sources: list[SourceConfig]
@@ -63,11 +74,12 @@ class RunConfig:
     model_dir: Optional[str] = None
     normalize: bool = True
     split: SplitSpec = field(default_factory=SplitSpec)
-    repeats: int = 1
     max_categories: int = 10
     output_dir: Path = Path("out")
 
     def validate(self) -> None:
+        if not self.sources:
+            raise ValidationError("'sources' lists no source")
         for source in self.sources:
             for path in (source.data, source.schema):
                 if not path.exists():
@@ -76,34 +88,28 @@ class RunConfig:
             raise ValidationError(f"labels file does not exist: {self.labels}")
         if self.dim < 1 or self.max_chars < 1:
             raise ValidationError("dim and max_chars must be positive")
-        if self.repeats < 1:
-            raise ValidationError("repeats must be >= 1")
+        if self.max_categories < 1:
+            raise ValidationError("max_categories must be >= 1")
+
+    def sections(self) -> dict:
+        """This config as the sections of a config file, paths as given."""
+        return {
+            "sources": [{"name": s.name, "data": str(s.data), "schema": str(s.schema)}
+                        for s in self.sources],
+            "labels": str(self.labels) if self.labels else None,
+            "serialization": to_dict(self.serialization),
+            "evaluation": to_dict(self.split),
+            **{name: {key: getattr(self, attr) for key, attr in keys.items()}
+               for name, keys in FLAT_SECTIONS.items()},
+            "output_dir": str(self.output_dir),
+        }
 
     def canonical(self) -> dict:
-        """Stable dict for hashing; paths are kept as given."""
-        return {
-            "sources": [
-                {"name": s.name, "data": str(s.data), "schema": str(s.schema)}
-                for s in self.sources
-            ],
-            "labels": str(self.labels) if self.labels else None,
-            "serialization": self.serialization.to_dict(),
-            "embedding": {
-                "backend": self.backend_name,
-                "dim": self.dim,
-                "max_chars": self.max_chars,
-                "url": self.backend_url,
-                "model_dir": self.model_dir,
-            },
-            "temporal": {"normalize": self.normalize},
-            "evaluation": {
-                "train_fraction": self.split.train_fraction,
-                "seed": self.split.seed,
-                "stratified": self.split.stratified,
-                "repeats": self.repeats,
-            },
-            "baseline": {"max_categories": self.max_categories},
-        }
+        """Stable dict for hashing: :meth:`sections` without the keys that
+        do not change results, ``embedding.cache`` and ``output_dir``."""
+        doc = self.sections()
+        del doc["embedding"]["cache"], doc["output_dir"]
+        return doc
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode("utf-8")
@@ -122,67 +128,42 @@ class RunConfig:
 
 def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
     """Load a YAML run config; relative paths resolve against the config file.
-    It may hold the keys of :meth:`RunConfig.canonical`, defaulting to a default
-    RunConfig's values, and ``embedding.cache`` and ``output_dir``. Any other
-    key, or a flag that is not true or false, is a ValidationError."""
+    It holds keys of :meth:`RunConfig.sections`, read by :func:`read_section`;
+    an ``overrides`` value that is not None replaces the file's key of its name."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file does not exist: {path}")
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (OSError, yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    default = RunConfig([], None, SerializationConfig())
-    known = default.canonical()
-    known["embedding"]["cache"] = default.cache_dir
-    doc = read_section(doc, {**known, "output_dir": default.output_dir}, str(path))
-    emb, temporal, ev, baseline = (
-        read_section(doc[name], known[name], name)
-        for name in ("embedding", "temporal", "evaluation", "baseline")
-    )
-    base = path.parent
-
-    def resolve(p) -> Path:
-        return (base / p).resolve() if p else None
-
-    try:
-        for s in doc["sources"]:
-            read_section(s, dict.fromkeys(("name", "data", "schema")), "an item of sources")
-            if not (s.get("data") and s.get("schema")):
-                raise ValidationError("an item of sources needs 'data' and 'schema'")
-        sources = [
-            SourceConfig(
-                name=s.get("name") or Path(s["data"]).stem,
-                data=resolve(s["data"]),
-                schema=resolve(s["schema"]),
-            )
-            for s in doc["sources"]
-        ]
-        config = RunConfig(
-            sources=sources,
-            labels=resolve(doc["labels"]),
-            serialization=SerializationConfig.from_dict(doc["serialization"]),
-            backend_name=emb["backend"],
-            dim=int(emb["dim"]),
-            max_chars=int(emb["max_chars"]),
-            cache_dir=resolve(emb["cache"]),
-            backend_url=emb["url"],
-            model_dir=emb["model_dir"],
-            normalize=temporal["normalize"],
-            split=SplitSpec(
-                train_fraction=float(ev["train_fraction"]),
-                seed=int(ev["seed"]),
-                stratified=ev["stratified"],
-            ),
-            repeats=int(ev["repeats"]),
-            max_categories=int(baseline["max_categories"]),
-            output_dir=resolve(doc["output_dir"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed config: {exc}") from exc
+    known = RunConfig([], None, SerializationConfig()).sections()
+    doc = read_section(doc, known, str(path))
+    sections = {n: read_section(doc[n], known[n], n) for n in ("evaluation", *FLAT_SECTIONS)}
     for key, value in overrides.items():
         if value is not None:
-            setattr(config, key, value)
+            next(s for s in sections.values() if key in s)[key] = value
+
+    def resolve(value: object, key: str) -> Optional[Path]:
+        if value is not None and not (value and isinstance(value, str)):
+            raise ValidationError(f"{key!r} in {path} must be a path, not {value!r}")
+        return None if value is None else (path.parent / value).resolve()
+
+    sources = []
+    for s in doc["sources"]:
+        read_section(s, dict.fromkeys(("name", "data", "schema")), "an item of sources")
+        if not (s.get("data") and s.get("schema")):
+            raise ValidationError("an item of sources needs 'data' and 'schema'")
+        data, schema = resolve(s["data"], "data"), resolve(s["schema"], "schema")
+        sources.append(SourceConfig(s.get("name") or data.stem, data, schema))
+    flat = {a: sections[n][k] for n, keys in FLAT_SECTIONS.items() for k, a in keys.items()}
+    flat["cache_dir"] = resolve(flat["cache_dir"], "cache")
+    config = RunConfig(
+        sources=sources,
+        labels=resolve(doc["labels"], "labels"),
+        serialization=from_dict(SerializationConfig, doc["serialization"], "serialization"),
+        split=from_dict(SplitSpec, sections["evaluation"], "evaluation"),
+        output_dir=resolve(doc["output_dir"], "output_dir"),
+        **flat,
+    )
     config.validate()
     return config
 
@@ -289,20 +270,13 @@ def build_tabtext_features(
     )
 
 
-def _evaluate_repeated(
-    features: FeatureMatrix, split: SplitSpec, repeats: int
-) -> tuple[float, float, str]:
-    """Mean and sd of test AUROC over `repeats` seeded splits."""
-    scores = []
-    shash = ""
-    for i in range(repeats):
-        score, shash_i = evaluate_features(features, replace(split, seed=split.seed + i))
-        if i == 0:
-            shash = shash_i
-        scores.append(score)
-    mean = float(np.mean(scores))
-    sd = float(np.std(scores, ddof=1)) if repeats > 1 else 0.0
-    return mean, sd, shash
+def _evaluate_repeated(features: FeatureMatrix, split: SplitSpec) -> tuple[float, float, str]:
+    """Mean and sd of test AUROC over ``split.repeats`` seeded splits."""
+    seeds = range(split.seed, split.seed + split.repeats)
+    runs = [evaluate_features(features, replace(split, seed=seed)) for seed in seeds]
+    scores = [score for score, _ in runs]
+    sd = float(np.std(scores, ddof=1)) if split.repeats > 1 else 0.0
+    return float(np.mean(scores)), sd, runs[0][1]
 
 
 def _digest(path: Path) -> str:
@@ -329,8 +303,8 @@ def run_compare(config: RunConfig) -> dict:
         )
 
     with stage("evaluate"):
-        tab_mean, tab_sd, shash = _evaluate_repeated(tabtext, config.split, config.repeats)
-        base_mean, base_sd, _ = _evaluate_repeated(base, config.split, config.repeats)
+        tab_mean, tab_sd, shash = _evaluate_repeated(tabtext, config.split)
+        base_mean, base_sd, _ = _evaluate_repeated(base, config.split)
 
     tabtext_path = out / "tabtext_features.csv"
     base_path = out / "baseline_features.csv"
@@ -338,13 +312,11 @@ def run_compare(config: RunConfig) -> dict:
     tabtext.to_csv(tabtext_path)
     base.to_csv(base_path)
 
-    lines = ["Pipeline | Test AUROC"]
-    if config.repeats > 1:
-        lines.append(f"Traditional | {base_mean:.6f} +/- {base_sd:.6f}")
-        lines.append(f"TabText | {tab_mean:.6f} +/- {tab_sd:.6f}")
-    else:
-        lines.append(f"Traditional | {base_mean:.6f}")
-        lines.append(f"TabText | {tab_mean:.6f}")
+    spread = config.split.repeats > 1
+    lines = ["Pipeline | Test AUROC"] + [
+        f"{name} | {mean:.6f}" + (f" +/- {sd:.6f}" if spread else "")
+        for name, mean, sd in (("Traditional", base_mean, base_sd), ("TabText", tab_mean, tab_sd))
+    ]
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     manifest = {

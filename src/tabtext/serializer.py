@@ -5,11 +5,11 @@ byte-identical sentences, which the golden tests rely on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .data_model import PLACEHOLDER, CellValue, ColumnSpec, Row, TableSchema, read_section
+from .data_model import PLACEHOLDER, CellValue, ColumnSpec, Row, TableSchema
 
 
 class MissingPolicy(str, Enum):
@@ -30,19 +30,6 @@ class SerializationConfig:
     include_meta: bool = True
     descriptive: bool = False
     combine_sources: CombineMode = CombineMode.SEPARATE
-
-    def to_dict(self) -> dict:
-        """Each axis by field name, an enum as its value."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.value if isinstance(v, Enum) else v for k, v in values.items()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SerializationConfig":
-        """The inverse of :meth:`to_dict`. An axis that ``doc`` lacks takes its
-        default; an unknown key is a ValidationError and a value outside its
-        axis a ValueError."""
-        values = read_section(doc, cls().to_dict(), "serialization")
-        return cls(**{f.name: type(f.default)(values[f.name]) for f in fields(cls)})
 
 
 def serialize_cell(

@@ -15,7 +15,7 @@ from tabtext.baseline import FeatureMatrix
 from tabtext.cli import main
 from tabtext.data_model import load_schema, parse_table
 from tabtext.embedding import HashingBackend, embed_text
-from tabtext.pipeline import build_tabtext_features
+from tabtext.pipeline import RunConfig, build_tabtext_features
 from tabtext.serializer import SerializationConfig, serialize_row
 from tabtext.synthetic import CorpusSpec, generate
 
@@ -513,6 +513,101 @@ def test_bad_config_key_or_flag_is_validation_error(corpus, tmp_path, overrides,
     err = capsys.readouterr().err
     assert "validation error" in err and repr(key) in err
     assert not (tmp_path / "out").exists()
+
+
+# Values of another type than a key's default, by the type of the default.
+WRONG_TYPES = {bool: [1], int: ["3", True, 2.7], float: ["0.5"], str: [5], list: [{}], dict: [5]}
+
+
+def wrong_type_configs():
+    """(config overrides, key) for each wrong-typed value of each config key,
+    from the sections of a default RunConfig."""
+    for name, section in RunConfig([], None, SerializationConfig()).sections().items():
+        for value in WRONG_TYPES.get(type(section), []):
+            yield pytest.param({name: value}, name, id=f"{name}={value!r}")
+        for key, default in (section.items() if isinstance(section, dict) else []):
+            for value in WRONG_TYPES.get(type(default), []):
+                yield pytest.param({name: {key: value}}, key, id=f"{name}.{key}={value!r}")
+
+
+@pytest.mark.parametrize("overrides, key", wrong_type_configs())
+def test_config_value_of_the_wrong_type_is_validation_error(
+    corpus, tmp_path, overrides, key, capsys
+):
+    config = write_config(corpus, tmp_path / "out", **overrides)
+    assert main(["compare", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+BAD_VALUES = [
+    ({"labels": 5}, "labels"),
+    ({"output_dir": None}, "output_dir"),
+    ({"embedding": {"cache": 5}}, "cache"),
+    ({"baseline": {"max_categories": 0}}, "max_categories"),
+    ({"evaluation": {"repeats": 0}}, "repeats"),
+    ({"sources": []}, "sources"),
+]
+
+
+@pytest.mark.parametrize("overrides, key", BAD_VALUES, ids=[key for _, key in BAD_VALUES])
+def test_config_value_out_of_range_is_validation_error(corpus, tmp_path, overrides, key, capsys):
+    config = write_config(corpus, tmp_path / "out", **overrides)
+    assert main(["compare", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "compare", "ablate", "config"])
+def test_negative_seed_is_validation_error(corpus, tmp_path, command, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text("entity_id,label,f0\np1,1,0.5\np2,0,0.1\np3,1,0.7\np4,0,0.2\n")
+    config = str(write_config(
+        corpus, tmp_path / "out", evaluation={"seed": -3} if command == "config" else {}
+    ))
+    args = {
+        "eval": ["eval", "--features", str(features), "--seed", "-1"],
+        "compare": ["compare", "--config", config, "--seed", "-1"],
+        "ablate": ["ablate", "--config", config, "--seed", "-2"],
+        "config": ["compare", "--config", config],
+    }[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: seed must be >= 0") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_labels_file_without_entity_is_validation_error(corpus, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("entity_id,label\n")
+    config = write_config(corpus, tmp_path / "out", labels=str(labels))
+    assert main(["compare", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"validation error: {labels}: lists no entity\n"
+
+
+# A field longer than csv's limit of 131,072 characters.
+OVERSIZED = "x" * 200_000
+OVERSIZED_FILES = {
+    "eval": ("features.csv", f"entity_id,label,f0\np1,1,{OVERSIZED}\n", "--features"),
+    "serialize": ("notes.csv", f"id,note\np1,{OVERSIZED}\n", "--data"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED_FILES))
+def test_field_over_the_csv_limit_is_validation_error(tmp_path, command, capsys):
+    name, content, option = OVERSIZED_FILES[command]
+    path = tmp_path / name
+    path.write_text(content)
+    schema = tmp_path / "notes.schema.yaml"
+    schema.write_text(NOTES_SCHEMA)
+    args = [option, str(path)]
+    if command == "serialize":
+        args += ["--schema", str(schema), "--out", str(tmp_path / "out.tsv")]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {path}") and "line 2: field larger" in err
 
 
 @pytest.mark.parametrize(

@@ -93,14 +93,6 @@ class TestParseTable:
         assert all(r.cells["age"].missing for r in rows)
         assert [r.cells["age"].original_token for r in rows] == ["", "na", "NULL", "nAn"]
 
-    def test_custom_missing_tokens(self):
-        rows = parse_table(
-            "id,age\np1,?\np2,NaN\n", make_schema(), missing_tokens={"?"}
-        )
-        assert rows[0].cells["age"].missing
-        assert not rows[1].cells["age"].missing  # NaN no longer in the set
-        assert rows[1].cells["age"].parsed is None  # nan is not finite
-
     def test_corpus_size_convention(self):
         lines = "id,age\n" + "".join(f"p{i},{i}\n" for i in range(1590))
         assert len(parse_table(lines, make_schema())) == 1590

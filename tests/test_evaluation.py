@@ -3,6 +3,7 @@ import pytest
 
 from golden_fixture import golden_configs
 from tabtext.baseline import FeatureMatrix
+from tabtext.data_model import from_dict, to_dict
 from tabtext.errors import ValidationError
 from tabtext.evaluation import (
     SplitSpec,
@@ -220,7 +221,7 @@ class TestGridPoints:
 
     def test_every_point_round_trips_through_a_dict(self):
         for config in grid_points(extended=True):
-            assert SerializationConfig.from_dict(config.to_dict()) == config
+            assert from_dict(SerializationConfig, to_dict(config), "serialization") == config
 
 
 def synthetic_builder(seed=0, n=120, dim=32):

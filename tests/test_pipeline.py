@@ -1,13 +1,21 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema, parse_table
 from tabtext.embedding import HashingBackend
 from tabtext.errors import StageError, ValidationError
 from tabtext.evaluation import SplitSpec
-from tabtext.pipeline import RunConfig, SourceConfig, build_tabtext_features, load_labels
+from tabtext.pipeline import (
+    RunConfig,
+    SourceConfig,
+    build_tabtext_features,
+    load_labels,
+    load_run_config,
+)
 from tabtext.serializer import CombineMode, MissingPolicy, SerializationConfig
 
 SEPARATE = SerializationConfig(include_meta=False, combine_sources=CombineMode.SEPARATE)
@@ -157,7 +165,49 @@ def test_config_hash_is_stable():
             combine_sources=CombineMode.SINGLE_PARAGRAPH,
         ),
         dim=64,
-        split=SplitSpec(train_fraction=0.75, seed=4, stratified=False),
-        repeats=3,
+        split=SplitSpec(train_fraction=0.75, seed=4, stratified=False, repeats=3),
     )
     assert config.config_hash() == "097cc9d864b7f67e"
+
+
+DEFAULT_CONFIG = RunConfig([], None, SerializationConfig())
+
+
+def test_config_file_at_the_defaults_loads_to_the_default_config(tmp_path):
+    """A file with one source and every other key written at its default
+    loads to a config whose sections, but for sources and labels, are the
+    defaults."""
+    for name in ("d.csv", "d.schema.yaml", "labels.csv"):
+        (tmp_path / name).write_text("")
+    doc = {
+        **DEFAULT_CONFIG.sections(),
+        "sources": [{"data": "d.csv", "schema": "d.schema.yaml"}],
+        "labels": "labels.csv",
+    }
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(doc))
+    loaded = load_run_config(tmp_path / "run.yaml").canonical()
+    expected = DEFAULT_CONFIG.canonical()
+    for name in ("sources", "labels"):
+        del loaded[name], expected[name]
+    assert loaded == expected
+
+
+def config_keys(doc: dict) -> set[str]:
+    """The sections of a config document, and ``section.key`` for each key of
+    a section or of an item of a list section."""
+    keys = set()
+    for name, value in doc.items():
+        items = value if isinstance(value, list) else [value]
+        keys |= {name, *(f"{name}.{k}" for item in items if isinstance(item, dict) for k in item)}
+    return keys
+
+
+def test_readme_run_configuration_lists_every_key():
+    """The YAML block under *Run configuration* in README.md, with its
+    commented-out keys uncommented, holds the keys the loader accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Run configuration\n", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    doc = yaml.safe_load(re.sub(r"^(\s*)# (\w+:)", r"\1\2", block, flags=re.M))
+    source = SourceConfig("name", Path("data.csv"), Path("schema.yaml"))
+    assert config_keys(doc) == config_keys(RunConfig([source], None, SerializationConfig()).sections())
