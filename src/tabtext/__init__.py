@@ -20,7 +20,6 @@ from .serializer import (
 from .embedding import (
     CachingBackend,
     HashingBackend,
-    LocalModelBackend,
     RemoteBackend,
     chunk_text,
     embed_text,

@@ -95,7 +95,6 @@ def _backend_options(fn):
     fn = click.option("--max-chars", type=click.IntRange(min=1), default=DEFAULT_MAX_CHARS)(fn)
     fn = click.option("--cache", type=click.Path(), default=None)(fn)
     fn = click.option("--url", default=None)(fn)
-    fn = click.option("--model-dir", type=click.Path(), default=None)(fn)
     return fn
 
 
@@ -103,11 +102,9 @@ def _backend_options(fn):
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_backend_options
-def embed(in_path, out_path, backend, dim, max_chars, cache, url, model_dir):
+def embed(in_path, out_path, backend, dim, max_chars, cache, url):
     """Embed a sentence file into a per-row embedding CSV."""
-    be = make_backend(
-        backend, dim=dim, max_chars=max_chars, url=url, model_dir=model_dir, cache_dir=cache
-    )
+    be = make_backend(backend, dim=dim, max_chars=max_chars, url=url, cache_dir=cache)
     records = read_sentences(in_path)
     write_embeddings(out_path, be.dim, ((e, t, embed_text(s, be)) for e, t, s in records))
     click.echo(f"wrote {len(records)} embeddings to {out_path}")
@@ -159,7 +156,7 @@ def eval_cmd(features_path, seed, train_fraction, stratified):
     """Split, fit the built-in classifier, and print test AUROC."""
     spec = SplitSpec(train_fraction=train_fraction, seed=seed, stratified=stratified)
     matrix = FeatureMatrix.from_csv(features_path)
-    score, shash = evaluate_features(matrix, spec)
+    score, _, shash = evaluate_features(matrix, spec)
     click.echo(f"test AUROC: {score:.6f} (split {shash})")
 
 

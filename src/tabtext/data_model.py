@@ -266,13 +266,13 @@ def parse_table(data: Union[bytes, str, IO[str]], schema: TableSchema) -> list[R
         timestamp = None
         if schema.time_column is not None:
             tcell = cells[schema.time_column]
-            if tcell.missing or tcell.parsed is None:
+            timestamp = tcell.parsed
+            if timestamp is None or timestamp < 0:
                 raise RowParseError(
-                    f"unparseable timestamp {tcell.raw!r} in column "
-                    f"'{schema.time_column}'",
+                    f"{'unparseable' if timestamp is None else 'negative'} timestamp "
+                    f"{tcell.raw!r} in column '{schema.time_column}'",
                     reader.line_num,
                 )
-            timestamp = tcell.parsed
         rows.append(Row(entity_id=entity_id, cells=cells, timestamp=timestamp))
     return rows
 

@@ -165,37 +165,6 @@ class RemoteBackend:
         return matrix
 
 
-class LocalModelBackend:
-    """Sentence-encoder loaded from a local model directory."""
-
-    def __init__(
-        self,
-        model_dir: Union[str, Path],
-        max_chars: int = DEFAULT_MAX_CHARS,
-    ):
-        path = Path(model_dir)
-        if not path.is_dir():
-            raise BackendError(f"model directory not found: {path}")
-        try:
-            from sentence_transformers import SentenceTransformer
-        except ImportError as exc:
-            raise BackendError(
-                "local model backend requires the sentence-transformers package"
-            ) from exc
-        try:
-            self._model = SentenceTransformer(str(path))
-        except Exception as exc:
-            raise BackendError(f"failed to load model from {path}: {exc}") from exc
-        self.dim = int(self._model.get_sentence_embedding_dimension())
-        self.max_chars = max_chars
-        self.backend_id = f"local-{path.name}-d{self.dim}"
-
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        return np.asarray(
-            self._model.encode(list(texts), convert_to_numpy=True), dtype=np.float64
-        )
-
-
 class CachingBackend:
     """On-disk cache of vectors keyed by sha256 of (backend id, text).
 
@@ -281,20 +250,15 @@ def make_backend(
     dim: int = DEFAULT_DIM,
     max_chars: int = DEFAULT_MAX_CHARS,
     url: Optional[str] = None,
-    model_dir: Optional[str] = None,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> EmbeddingBackend:
-    """Construct a backend by name ('hashing', 'remote', 'local')."""
+    """Construct a backend by name ('hashing', 'remote')."""
     if name == "hashing":
         backend: EmbeddingBackend = HashingBackend(dim=dim, max_chars=max_chars)
     elif name == "remote":
         if not url:
             raise BackendError("remote backend requires a URL")
         backend = RemoteBackend(url, dim=dim, max_chars=max_chars)
-    elif name == "local":
-        if not model_dir:
-            raise BackendError("local backend requires a model directory")
-        backend = LocalModelBackend(model_dir, max_chars=max_chars)
     else:
         raise BackendError(f"unknown backend '{name}'")
     if cache_dir is not None:

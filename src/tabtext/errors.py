@@ -26,7 +26,7 @@ class RowParseError(ValidationError):
 
 
 class BackendError(TabTextError):
-    """An embedding backend failed (model missing, service unreachable, bad reply)."""
+    """An embedding backend failed (service unreachable, bad reply, cache unusable)."""
 
 
 class StageError(TabTextError):

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -201,6 +201,8 @@ class AblationRow:
     config: SerializationConfig
     test_auroc: float
     split_hash: str
+    # The sd of test AUROC over the repeated splits; None for a single split.
+    test_auroc_sd: Optional[float] = None
 
 
 @dataclass
@@ -232,7 +234,10 @@ class AblationReport:
         lines.append("-" * len(lines[0]))
         for row in self.rows:
             labels = [AXES[a][1][getattr(row.config, a)] for a in means]
-            lines.append(" | ".join([*labels, f"{row.test_auroc:.3f}"]))
+            score = f"{row.test_auroc:.3f}"
+            if row.test_auroc_sd is not None:
+                score += f" +/- {row.test_auroc_sd:.3f}"
+            lines.append(" | ".join([*labels, score]))
         for axis, table in means.items():
             lines.append("")
             lines.append(f"Aggregated by {axis}:")
@@ -243,7 +248,8 @@ class AblationReport:
     def to_dict(self) -> dict:
         return {
             "rows": [
-                {**to_dict(r.config), "test_auroc": r.test_auroc, "split_hash": r.split_hash}
+                {**to_dict(r.config), "test_auroc": r.test_auroc, "split_hash": r.split_hash,
+                 **({} if r.test_auroc_sd is None else {"test_auroc_sd": r.test_auroc_sd})}
                 for r in self.rows
             ],
             "axis_means": self.axis_means(),
@@ -262,23 +268,32 @@ def grid_points(extended: bool = False) -> list[SerializationConfig]:
 
 def evaluate_features(
     features: FeatureMatrix, spec: SplitSpec
-) -> tuple[float, str]:
-    """Split, fit the built-in classifier, and score the test set."""
+) -> tuple[float, Optional[float], str]:
+    """Split, fit the built-in classifier, and score the test set, once for
+    each of the ``spec.repeats`` seeds from ``spec.seed``: the mean and the
+    sample sd (None for one split) of test AUROC, and the split hash of the
+    first seed."""
     if features.labels is None:
         raise ValidationError("evaluation requires labels")
-    train_ids, test_ids = split(features.entity_ids, spec, features.labels)
     pos = {e: i for i, e in enumerate(features.entity_ids)}
-    train_idx = [pos[e] for e in train_ids]
-    test_idx = [pos[e] for e in test_ids]
-    train = FeatureMatrix(
-        entity_ids=train_ids,
-        feature_names=features.feature_names,
-        values=features.values[train_idx],
-        labels=features.labels[train_idx],
-    )
-    model = fit_linear_classifier(train)
-    scores = model.scores(features.values[test_idx])
-    return auroc(scores, features.labels[test_idx]), split_hash(test_ids)
+    aurocs = []
+    for seed in range(spec.seed, spec.seed + spec.repeats):
+        train_ids, test_ids = split(features.entity_ids, replace(spec, seed=seed), features.labels)
+        train_idx = [pos[e] for e in train_ids]
+        test_idx = [pos[e] for e in test_ids]
+        train = FeatureMatrix(
+            entity_ids=train_ids,
+            feature_names=features.feature_names,
+            values=features.values[train_idx],
+            labels=features.labels[train_idx],
+        )
+        model = fit_linear_classifier(train)
+        scores = model.scores(features.values[test_idx])
+        aurocs.append(auroc(scores, features.labels[test_idx]))
+        if seed == spec.seed:
+            first_hash = split_hash(test_ids)
+    sd = float(np.std(aurocs, ddof=1)) if spec.repeats > 1 else None
+    return float(np.mean(aurocs)), sd, first_hash
 
 
 def run_ablation(
@@ -286,20 +301,21 @@ def run_ablation(
     spec: SplitSpec,
     extended: bool = False,
 ) -> AblationReport:
-    """Evaluate every grid point under one shared train/test split.
+    """Evaluate every grid point under the same ``spec.repeats`` seeded splits.
 
     ``feature_builder`` maps a serialization config to the labeled feature
-    matrix (serialize -> embed -> aggregate). The same split seed is used for
-    every point so AUROC differences reflect representation, not split noise.
+    matrix (serialize -> embed -> aggregate). Every point uses the same split
+    seeds so AUROC differences reflect representation, not split noise; with
+    more than one split each row also holds the sd of its test AUROC.
     """
     rows = []
     for config in grid_points(extended):
         try:
             features = feature_builder(config)
-            score, shash = evaluate_features(features, spec)
+            score, sd, shash = evaluate_features(features, spec)
         except StageError:
             raise
         except Exception as exc:
             raise StageError("ablate", f"grid point {to_dict(config)} failed: {exc}") from exc
-        rows.append(AblationRow(config=config, test_auroc=score, split_hash=shash))
+        rows.append(AblationRow(config, score, shash, sd))
     return AblationReport(rows=rows)

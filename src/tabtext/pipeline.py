@@ -12,7 +12,7 @@ import json
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -55,7 +55,7 @@ class SourceConfig:
 # field it sets.
 FLAT_SECTIONS = {
     "embedding": {"backend": "backend_name", "dim": "dim", "max_chars": "max_chars",
-                  "url": "backend_url", "model_dir": "model_dir", "cache": "cache_dir"},
+                  "url": "backend_url", "cache": "cache_dir"},
     "temporal": {"normalize": "normalize"},
     "baseline": {"max_categories": "max_categories"},
 }
@@ -71,7 +71,6 @@ class RunConfig:
     max_chars: int = DEFAULT_MAX_CHARS
     cache_dir: Optional[Path] = None
     backend_url: Optional[str] = None
-    model_dir: Optional[str] = None
     normalize: bool = True
     split: SplitSpec = field(default_factory=SplitSpec)
     max_categories: int = 10
@@ -80,6 +79,10 @@ class RunConfig:
     def validate(self) -> None:
         if not self.sources:
             raise ValidationError("'sources' lists no source")
+        names = [source.name for source in self.sources]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValidationError(f"source name {name!r} is repeated in 'sources'")
         for source in self.sources:
             for path in (source.data, source.schema):
                 if not path.exists():
@@ -90,6 +93,8 @@ class RunConfig:
             raise ValidationError("dim and max_chars must be positive")
         if self.max_categories < 1:
             raise ValidationError("max_categories must be >= 1")
+        if not isinstance(self.backend_url, (str, type(None))):
+            raise ValidationError(f"'url' in embedding must be a string, not {self.backend_url!r}")
 
     def sections(self) -> dict:
         """This config as the sections of a config file, paths as given."""
@@ -121,7 +126,6 @@ class RunConfig:
             dim=self.dim,
             max_chars=self.max_chars,
             url=self.backend_url,
-            model_dir=self.model_dir,
             cache_dir=self.cache_dir,
         )
 
@@ -149,7 +153,7 @@ def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
 
     sources = []
     for s in doc["sources"]:
-        read_section(s, dict.fromkeys(("name", "data", "schema")), "an item of sources")
+        read_section(s, {"name": "", "data": None, "schema": None}, "an item of sources")
         if not (s.get("data") and s.get("schema")):
             raise ValidationError("an item of sources needs 'data' and 'schema'")
         data, schema = resolve(s["data"], "data"), resolve(s["schema"], "schema")
@@ -270,15 +274,6 @@ def build_tabtext_features(
     )
 
 
-def _evaluate_repeated(features: FeatureMatrix, split: SplitSpec) -> tuple[float, float, str]:
-    """Mean and sd of test AUROC over ``split.repeats`` seeded splits."""
-    seeds = range(split.seed, split.seed + split.repeats)
-    runs = [evaluate_features(features, replace(split, seed=seed)) for seed in seeds]
-    scores = [score for score, _ in runs]
-    sd = float(np.std(scores, ddof=1)) if split.repeats > 1 else 0.0
-    return float(np.mean(scores)), sd, runs[0][1]
-
-
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -303,8 +298,8 @@ def run_compare(config: RunConfig) -> dict:
         )
 
     with stage("evaluate"):
-        tab_mean, tab_sd, shash = _evaluate_repeated(tabtext, config.split)
-        base_mean, base_sd, _ = _evaluate_repeated(base, config.split)
+        tab_mean, tab_sd, shash = evaluate_features(tabtext, config.split)
+        base_mean, base_sd, _ = evaluate_features(base, config.split)
 
     tabtext_path = out / "tabtext_features.csv"
     base_path = out / "baseline_features.csv"
@@ -312,9 +307,8 @@ def run_compare(config: RunConfig) -> dict:
     tabtext.to_csv(tabtext_path)
     base.to_csv(base_path)
 
-    spread = config.split.repeats > 1
     lines = ["Pipeline | Test AUROC"] + [
-        f"{name} | {mean:.6f}" + (f" +/- {sd:.6f}" if spread else "")
+        f"{name} | {mean:.6f}" + (f" +/- {sd:.6f}" if sd is not None else "")
         for name, mean, sd in (("Traditional", base_mean, base_sd), ("TabText", tab_mean, tab_sd))
     ]
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

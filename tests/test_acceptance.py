@@ -253,7 +253,7 @@ def test_criterion_8_informative_missingness(tmp_path):
                 features = build_tabtext_features(
                     sources, ids, labels, SerializationConfig(missing_policy=policy), backend
                 )
-                scores[policy], _ = evaluate_features(features, SplitSpec(seed=seed))
+                scores[policy], _, _ = evaluate_features(features, SplitSpec(seed=seed))
             gaps.append(
                 scores[MissingPolicy.ENCODE_MISSING] - scores[MissingPolicy.KEEP_ORIGINAL]
             )

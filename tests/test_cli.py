@@ -350,6 +350,19 @@ def test_compare_feature_csv_bytes_are_stable(tmp_path):
     assert digests == COMPARE_150_DIGESTS
 
 
+# sha256 of compare's report.txt at `--repeats 3` on the 80-entity corpus:
+# the mean +/- sd of test AUROC over three seeded splits for each pipeline.
+COMPARE_REPEATS_3_REPORT = "cda07a6415490827e49cb6a5aa6deb96701fdd6359f58050739fb8484e6d4c96"
+
+
+def test_compare_repeated_report_bytes_are_stable(corpus, tmp_path):
+    config = write_config(corpus, tmp_path / "out")
+    assert main(["compare", "--config", str(config), "--repeats", "3"]) == 0
+    report = (tmp_path / "out" / "report.txt").read_bytes()
+    assert report.count(b" +/- ") == 2
+    assert hashlib.sha256(report).hexdigest() == COMPARE_REPEATS_3_REPORT
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -489,6 +502,24 @@ def test_ablation_report_bytes_are_stable(tmp_path, flag, capsys):
     assert digests == ABLATION_DIGESTS[flag]
 
 
+def test_ablate_honours_repeats(corpus, tmp_path):
+    """At repeats 3 every ablation row holds the mean and the sd of its test
+    AUROC over three splits; the reports differ from those of one split."""
+    reports = {}
+    for repeats in (1, 3):
+        out = tmp_path / f"out{repeats}"
+        config = write_config(
+            corpus, out, evaluation={"seed": 0, "repeats": repeats}, embedding={"dim": 32}
+        )
+        assert main(["ablate", "--config", str(config)]) == 0
+        reports[repeats] = [(out / name).read_bytes() for name in ABLATION_DIGESTS[""]]
+    rows = json.loads(reports[3][0])["rows"]
+    assert len(rows) == 16 and all(row["test_auroc_sd"] > 0 for row in rows)
+    assert "test_auroc_sd" not in json.loads(reports[1][0])["rows"][0]
+    assert reports[3][1].count(b" +/- ") == 16
+    assert all(a != b for a, b in zip(reports[1], reports[3]))
+
+
 BAD_CONFIGS = [
     ({"embeding": {"dim": 8}}, "embeding"),
     ({"serialization": {"missing_polcy": "exclude"}}, "missing_polcy"),
@@ -499,10 +530,12 @@ BAD_CONFIGS = [
     ({"sources": [{"data": "vitals.csv", "schema": "vitals.schema.yaml", "shema": "x"}]},
      "shema"),
     ({"sources": [{"name": "v", "data": None, "schema": "vitals.schema.yaml"}]}, "data"),
+    ({"sources": [{"name": 5, "data": "vitals.csv", "schema": "vitals.schema.yaml"}]}, "name"),
     ({"serialization": {"include_meta": "false"}}, "include_meta"),
     ({"serialization": {"descriptive": "no"}}, "descriptive"),
     ({"temporal": {"normalize": "yes"}}, "normalize"),
     ({"evaluation": {"stratified": 1}}, "stratified"),
+    ({"embedding": {"model_dir": "/path/to/model"}}, "model_dir"),
 ]
 
 
@@ -548,6 +581,9 @@ BAD_VALUES = [
     ({"baseline": {"max_categories": 0}}, "max_categories"),
     ({"evaluation": {"repeats": 0}}, "repeats"),
     ({"sources": []}, "sources"),
+    ({"embedding": {"backend": "remote", "url": 5}}, "url"),
+    ({"sources": [{"name": "demo", "data": f"{n}.csv", "schema": f"{n}.schema.yaml"}
+                  for n in ("demographics", "vitals")]}, "demo"),
 ]
 
 
@@ -634,6 +670,22 @@ def test_short_data_record_is_validation_error_naming_the_file(corpus, tmp_path,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2
     assert all(line.startswith(f"validation error: {data}: line 3:") for line in lines)
+
+
+def test_negative_timestamp_is_validation_error_naming_the_file(corpus, tmp_path, capsys):
+    schema = tmp_path / "notes.schema.yaml"
+    schema.write_text(SERIES_NOTES_SCHEMA)
+    data = tmp_path / "notes.csv"
+    data.write_text("id,t,note\np1,1.0,fine\np2,-5,early\n")
+    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.tsv")]
+    assert main(["serialize", *args]) == 1
+    config = write_config(
+        corpus, tmp_path / "out", sources=[{"data": str(data), "schema": str(schema)}]
+    )
+    assert main(["compare", "--config", str(config)]) == 1
+    assert main(["baseline", "--config", str(config)]) == 1
+    message = f"validation error: {data}: line 3: negative timestamp '-5' in column 't'"
+    assert capsys.readouterr().err.splitlines() == [message] * 3
 
 
 NOT_UTF8 = {

@@ -107,6 +107,12 @@ class TestParseTable:
             parse_table("id,age,t\np1,50,1.5\np2,51,soon\n", schema)
         assert err.value.line == 3
 
+    def test_negative_timestamp_reports_line_number(self):
+        schema = make_schema(time_column="t")
+        with pytest.raises(RowParseError, match="line 3: negative timestamp '-5'") as err:
+            parse_table("id,age,t\np1,50,1.5\np2,51,-5\n", schema)
+        assert err.value.line == 3
+
     def test_line_number_counts_line_breaks_inside_quoted_cells(self):
         schema = make_schema(time_column="t", extra_cols=(ColumnSpec("note", ColumnKind.FREE_TEXT),))
         text = 'id,age,t,note\np1,50,1.5,"a\nb\nc"\np2,51,soon,d\n'

@@ -352,13 +352,10 @@ class TestMakeBackend:
         assert backend.dim == 16
 
     def test_unknown_backend(self):
-        with pytest.raises(BackendError):
-            make_backend("quantum")
+        for name in ("quantum", "local"):
+            with pytest.raises(BackendError, match=f"unknown backend '{name}'"):
+                make_backend(name)
 
     def test_remote_requires_url(self):
         with pytest.raises(BackendError):
             make_backend("remote")
-
-    def test_local_requires_existing_dir(self):
-        with pytest.raises(BackendError):
-            make_backend("local", model_dir="/nonexistent/model")

@@ -170,7 +170,7 @@ class TestFitLinearClassifier:
             X = rng.normal(size=(200, 5))
             y = rng.integers(0, 2, size=200)
             features = make_matrix(X, y)
-            score, _ = evaluate_features(features, SplitSpec(seed=seed))
+            score, _, _ = evaluate_features(features, SplitSpec(seed=seed))
             scores.append(score)
         assert 0.35 <= float(np.mean(scores)) <= 0.65
 

@@ -167,7 +167,7 @@ def test_config_hash_is_stable():
         dim=64,
         split=SplitSpec(train_fraction=0.75, seed=4, stratified=False, repeats=3),
     )
-    assert config.config_hash() == "097cc9d864b7f67e"
+    assert config.config_hash() == "03981f0721dc5161"
 
 
 DEFAULT_CONFIG = RunConfig([], None, SerializationConfig())

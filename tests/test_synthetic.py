@@ -108,7 +108,7 @@ class TestOracle:
             features = build_tabtext_features(
                 sources, ids, label_map, SerializationConfig(), backend
             )
-            pipeline_auroc, _ = evaluate_features(features, SplitSpec(seed=0))
+            pipeline_auroc, _, _ = evaluate_features(features, SplitSpec(seed=0))
             diffs.append(pipeline_auroc - bayes)
         diffs = np.array(diffs)
         assert diffs.mean() <= 3 * diffs.std(ddof=1)
