@@ -139,11 +139,20 @@ class LinearClassifier:
     feature_scale: np.ndarray  # 0 for ignored (zero-variance) features
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        scale = np.where(self.feature_scale > 0, self.feature_scale, 1.0)
-        Xs = (X - self.feature_mean) / scale
-        Xs = Xs * (self.feature_scale > 0)
-        return Xs @ self.weights + self.bias
+        active, Xs = _standardize_active(X, self.feature_mean, self.feature_scale)
+        return Xs @ self.weights[active] + self.bias
+
+
+def _standardize_active(
+    X: np.ndarray, mean: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the columns with ``scale > 0`` and a standardized copy of
+    those columns alone; the other columns are never read."""
+    active = np.flatnonzero(scale > 0)
+    Xs = np.asarray(X, dtype=np.float64)[:, active]
+    Xs -= mean[active]
+    Xs /= scale[active]
+    return active, Xs
 
 
 def fit_linear_classifier(
@@ -155,8 +164,9 @@ def fit_linear_classifier(
 ) -> LinearClassifier:
     """Fit the built-in classifier: zero init, fixed step, L2, 500 iterations.
 
-    Features are standardized internally by train-set mean/std; zero-variance
-    features are ignored. Fully deterministic.
+    Features are standardized internally by train-set mean/std; gradient
+    descent runs on the columns that vary, and a zero-variance column gets
+    weight 0. Fully deterministic.
     """
     if train.labels is None:
         raise ValidationError("training requires labels")
@@ -166,13 +176,11 @@ def fit_linear_classifier(
     X = np.asarray(train.values, dtype=np.float64)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
-    scale = np.where(std > 0, std, 1.0)
-    Xs = (X - mean) / scale
-    Xs = Xs * (std > 0)
-    w, b = _logistic_gd(Xs, y, steps, lr, l2)
-    return LinearClassifier(
-        weights=w, bias=float(b), feature_mean=mean, feature_scale=np.where(std > 0, std, 0.0)
-    )
+    scale = np.where(std > 0, std, 0.0)
+    active, Xs = _standardize_active(X, mean, scale)
+    w = np.zeros(X.shape[1], dtype=np.float64)
+    w[active], b = _logistic_gd(Xs, y, steps, lr, l2)
+    return LinearClassifier(weights=w, bias=float(b), feature_mean=mean, feature_scale=scale)
 
 
 # The ablation axes in grid order: each SerializationConfig field with its
@@ -272,7 +280,8 @@ def evaluate_features(
     """Split, fit the built-in classifier, and score the test set, once for
     each of the ``spec.repeats`` seeds from ``spec.seed``: the mean and the
     sample sd (None for one split) of test AUROC, and the split hash of the
-    first seed."""
+    first seed. A split part without both classes is a ValidationError naming
+    ``train_fraction`` and the seed."""
     if features.labels is None:
         raise ValidationError("evaluation requires labels")
     pos = {e: i for i, e in enumerate(features.entity_ids)}
@@ -281,6 +290,14 @@ def evaluate_features(
         train_ids, test_ids = split(features.entity_ids, replace(spec, seed=seed), features.labels)
         train_idx = [pos[e] for e in train_ids]
         test_idx = [pos[e] for e in test_ids]
+        for part, idx in (("train", train_idx), ("test", test_idx)):
+            absent = [c for c in (0, 1) if not np.any(features.labels[idx] == c)]
+            if absent:
+                raise ValidationError(
+                    f"train_fraction {spec.train_fraction} leaves no entity of class "
+                    f"{' or '.join(map(str, absent))} in the {part} part of the split "
+                    f"with seed {seed}"
+                )
         train = FeatureMatrix(
             entity_ids=train_ids,
             feature_names=features.feature_names,
@@ -313,7 +330,7 @@ def run_ablation(
         try:
             features = feature_builder(config)
             score, sd, shash = evaluate_features(features, spec)
-        except StageError:
+        except (StageError, ValidationError):
             raise
         except Exception as exc:
             raise StageError("ablate", f"grid point {to_dict(config)} failed: {exc}") from exc

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import StageError
+from .errors import StageError, ValidationError
 from .serializer import CombineMode
 
 
@@ -29,6 +29,7 @@ def aggregate_timed(
     All-zero timestamps fall back to the unweighted mean (normalized) or the
     zero vector (unnormalized). Summation order is fixed by sorting on
     (timestamp, input index) so results are bit-reproducible under shuffling.
+    A weight sum or weighted sum that overflows raises ``FloatingPointError``.
     """
     if len(series) == 0:
         raise ValueError("cannot aggregate an empty series")
@@ -43,18 +44,19 @@ def aggregate_timed(
     vectors = np.stack([np.asarray(series[i][1], dtype=np.float64) for i in order])
     weights = np.array([series[i][0] for i in order], dtype=np.float64)
 
-    total = weights.sum()
-    if total == 0.0:
+    with np.errstate(over="raise", invalid="raise"):
+        total = weights.sum()
+        if total == 0.0:
+            if normalize:
+                return vectors.mean(axis=0)
+            return np.zeros(dim, dtype=np.float64)
+        # A sequential loop, not ``weights @ vectors``: the BLAS product sums in
+        # another order and changes the low bits of the features.
+        out = np.zeros(dim, dtype=np.float64)
+        for weight, vector in zip(weights, vectors):
+            out += weight * vector
         if normalize:
-            return vectors.mean(axis=0)
-        return np.zeros(dim, dtype=np.float64)
-    # A sequential loop, not ``weights @ vectors``: the BLAS product sums in
-    # another order and changes the low bits of the features.
-    out = np.zeros(dim, dtype=np.float64)
-    for weight, vector in zip(weights, vectors):
-        out += weight * vector
-    if normalize:
-        out = out / total
+            out = out / total
     return out
 
 
@@ -92,7 +94,13 @@ def aggregate_entity(
                     f"source '{source}' mixes timestamped and static rows "
                     f"for entity '{entity_id}'",
                 )
-            parts.append(aggregate_timed(rows, normalize=normalize))
+            try:
+                parts.append(aggregate_timed(rows, normalize=normalize))
+            except FloatingPointError as exc:
+                raise ValidationError(
+                    f"source '{source}': the timestamp-weighted sum of entity "
+                    f"'{entity_id}' overflows ({exc})"
+                ) from None
 
     if mode is CombineMode.SINGLE_PARAGRAPH:
         return np.stack(parts).mean(axis=0)

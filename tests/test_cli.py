@@ -212,6 +212,7 @@ def write_embeddings(tmp_path, *rows):
         ("p1,,1.0,0.0", "p1,,0.0,1.0"),  # two static rows
         ("p1,x,1.0,0.0",),  # timestamp is not a number
         ("p1,1.0,1.0",),  # fewer values than the header
+        ("p1,2.0,1e308,0.5", "p1,3.0,1e308,0.25"),  # the weighted sum overflows
     ],
 )
 def test_aggregate_bad_input_is_validation_error(tmp_path, rows, capsys):
@@ -686,6 +687,64 @@ def test_negative_timestamp_is_validation_error_naming_the_file(corpus, tmp_path
     assert main(["baseline", "--config", str(config)]) == 1
     message = f"validation error: {data}: line 3: negative timestamp '-5' in column 't'"
     assert capsys.readouterr().err.splitlines() == [message] * 3
+
+
+def huge_timestamp_config(corpus: Path, tmp_path: Path, rows: int) -> Path:
+    """A run config over a copy of the corpus's vitals table whose first
+    ``rows`` rows of entity p00000 (of 3) take the timestamp 1e308."""
+    lines = (corpus / "vitals.csv").read_text().splitlines()
+    targets = [i for i, line in enumerate(lines) if line.startswith("p00000,")][:rows]
+    for i in targets:
+        entity, _, rest = lines[i].split(",", 2)
+        lines[i] = f"{entity},1e308,{rest}"
+    vitals = tmp_path / "vitals.csv"
+    vitals.write_text("\n".join(lines) + "\n")
+    sources = [
+        {"data": "demographics.csv", "schema": "demographics.schema.yaml"},
+        {"data": str(vitals), "schema": "vitals.schema.yaml"},
+    ]
+    return write_config(corpus, tmp_path / "out", sources=sources)
+
+
+def test_overflowing_timestamps_are_validation_error_naming_the_entity(
+    corpus, tmp_path, capsys
+):
+    config = huge_timestamp_config(corpus, tmp_path, rows=3)
+    assert main(["compare", "--config", str(config)]) == 1
+    assert main(["ablate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    message = (
+        "validation error: source 'vitals': the timestamp-weighted sum of entity "
+        "'p00000' overflows (overflow encountered in reduce)"
+    )
+    assert [line for line in err.splitlines() if "error" in line] == [message] * 2
+    assert "Warning" not in err and "Traceback" not in err
+
+
+# sha256 of compare's tabtext_features.csv on the 80-entity corpus with one
+# vitals row of p00000 at timestamp 1e308, which outweighs its other rows.
+ONE_HUGE_TIMESTAMP_FEATURES = "dc35ffabd15bdd8949351b09ef3caba6d5d5b70088b85b9e1cf19d9b64c39f7c"
+
+
+def test_one_huge_timestamp_keeps_its_feature_bytes(corpus, tmp_path):
+    config = huge_timestamp_config(corpus, tmp_path, rows=1)
+    assert main(["compare", "--config", str(config)]) == 0
+    features = (tmp_path / "out" / "tabtext_features.csv").read_bytes()
+    assert hashlib.sha256(features).hexdigest() == ONE_HUGE_TIMESTAMP_FEATURES
+
+
+@pytest.mark.parametrize("fraction, part", [(0.95, "test"), (0.05, "train")])
+def test_split_part_without_a_class_names_train_fraction(
+    corpus, tmp_path, fraction, part, capsys
+):
+    config = write_config(corpus, tmp_path / "out", evaluation={"train_fraction": fraction})
+    assert main(["compare", "--config", str(config)]) == 1
+    assert main(["ablate", "--config", str(config)]) == 1
+    message = (
+        f"validation error: train_fraction {fraction} leaves no entity of class 1 in the "
+        f"{part} part of the split with seed 0"
+    )
+    assert capsys.readouterr().err.splitlines()[-2:] == [message] * 2
 
 
 NOT_UTF8 = {

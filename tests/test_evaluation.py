@@ -7,6 +7,7 @@ from tabtext.data_model import from_dict, to_dict
 from tabtext.errors import ValidationError
 from tabtext.evaluation import (
     SplitSpec,
+    _logistic_gd,
     auroc,
     average_ranks,
     evaluate_features,
@@ -204,6 +205,95 @@ class TestFitLinearClassifier:
         y = (X[:, 0] > 0).astype(int)
         model = fit_linear_classifier(make_matrix(X, y))
         assert model.weights[1] == 0.0
+
+
+class TestEvaluateFeatures:
+    # 30 negatives and 10 positives; an unstratified split from seed 0 first
+    # loses class 1 from its test part at seed 4.
+    @pytest.mark.parametrize(
+        "fraction, stratified, part, seed",
+        [(0.97, True, "test", 0), (0.03, True, "train", 0), (0.85, False, "test", 4)],
+    )
+    def test_split_part_without_a_class_names_train_fraction(
+        self, fraction, stratified, part, seed
+    ):
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        y = np.array([0] * 30 + [1] * 10)
+        spec = SplitSpec(train_fraction=fraction, stratified=stratified, repeats=5)
+        message = (
+            f"train_fraction {fraction} leaves no entity of class 1 in the {part} part "
+            f"of the split with seed {seed}"
+        )
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            evaluate_features(make_matrix(X, y), spec)
+
+
+def reference_fit(X, y, steps=500, lr=0.1, l2=1e-4):
+    """Oracle: the masked fit, gradient descent over every column with each
+    zero-variance column zeroed after standardizing. Returns the mean, the
+    scale (0 where ignored), the weights and the scoring function."""
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    divisor = np.where(std > 0, std, 1.0)
+    w, b = _logistic_gd((X - mean) / divisor * (std > 0), y.astype(np.float64), steps, lr, l2)
+    return mean, np.where(std > 0, std, 0.0), w, lambda T: (T - mean) / divisor * (std > 0) @ w + b
+
+
+CONSTANTS = [0.0, -0.0, 7.0, -3.5]
+
+
+def differential_case(seed):
+    """A train and a test matrix with labels, drawn from ``seed``. Some
+    columns hold one of CONSTANTS on every train row; seed 0 gives an
+    all-constant matrix and seed 1 a single varying column."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(12, 60)), int(rng.integers(1, 10))
+    X, T = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    y, y_test = rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)
+    y[:2] = y_test[:2] = [0, 1]
+    varying = {0: 0, 1: 1}.get(seed, int(rng.integers(0, d + 1)))
+    for j in rng.permutation(d)[varying:]:
+        X[:, j] = CONSTANTS[rng.integers(0, len(CONSTANTS))]
+    return X, y, T, y_test
+
+
+class TestActiveColumnFit:
+    """The fit on the varying columns alone against the masked fit."""
+
+    @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
+    def test_matches_masked_fit(self, seeds):
+        for seed in seeds:
+            X, y, T, y_test = differential_case(seed)
+            mean, scale, weights, scores = reference_fit(X, y)
+            model = fit_linear_classifier(make_matrix(X, y))
+            assert model.feature_mean.tobytes() == mean.tobytes()
+            assert model.feature_scale.tobytes() == scale.tobytes()
+            ignored = scale == 0
+            assert model.weights.shape == weights.shape
+            assert model.weights[ignored].tobytes() == np.zeros(int(ignored.sum())).tobytes()
+            assert auroc(model.scores(T), y_test) == auroc(scores(T), y_test), seed
+            if ignored.all():
+                assert auroc(model.scores(T), y_test) == 0.5
+
+    def test_cases_cover_constant_and_single_active_columns(self):
+        scales = [reference_fit(*differential_case(seed)[:2], steps=0)[1] for seed in range(200)]
+        assert not scales[0].any()
+        assert np.count_nonzero(scales[1]) == 1
+        held = {
+            (float(v), bool(np.signbit(v)))
+            for seed in range(200)
+            for v in differential_case(seed)[0][0, scales[seed] == 0]
+        }
+        assert {(0.0, False), (0.0, True), (7.0, False), (-3.5, True)} <= held
+
+    def test_huge_value_in_an_ignored_column_changes_no_score(self):
+        X, y, T, _ = differential_case(5)
+        model = fit_linear_classifier(make_matrix(X, y))
+        ignored = model.feature_scale == 0
+        assert ignored.any() and not ignored.all()
+        huge = T.copy()
+        huge[:, ignored] = np.finfo(np.float64).max
+        assert model.scores(huge).tobytes() == model.scores(T).tobytes()
 
 
 class TestGridPoints:

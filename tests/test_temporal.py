@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from tabtext.errors import StageError
+from tabtext.errors import StageError, ValidationError
 from tabtext.serializer import CombineMode
 from tabtext.temporal import TimedEmbedding, aggregate_entity, aggregate_timed
 
@@ -75,6 +77,18 @@ class TestAggregateTimed:
     def test_negative_timestamp_error(self):
         with pytest.raises(ValueError, match="negative"):
             aggregate_timed(series_of([(-1.0, [1.0])]))
+
+    def test_one_huge_timestamp_stays_finite(self):
+        series = series_of([(1e308, [0.5, -1.0]), (2.0, [1.0, 1.0])])
+        out = aggregate_timed(series, normalize=True)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, [0.5, -1.0])
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_overflowing_weights_raise(self, normalize):
+        series = series_of([(1e308, [0.5, -1.0]), (1e308, [1.0, 1.0])])
+        with pytest.raises(FloatingPointError, match="overflow"):
+            aggregate_timed(series, normalize=normalize)
 
     def test_dimension_mismatch_error(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -159,4 +173,17 @@ class TestAggregateEntity:
             aggregate_entity(
                 [("demo", [(None, np.ones(2)), (1.0, np.ones(2))])],
                 CombineMode.SEPARATE,
+            )
+
+    def test_overflowing_weights_are_validation_error_naming_source_and_entity(self):
+        timed = [(1e308, np.ones(2)), (1e308, np.ones(2))]
+        message = (
+            "source 'vitals': the timestamp-weighted sum of entity 'p1' overflows "
+            "(overflow encountered in reduce)"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            aggregate_entity(
+                [("demo", [(None, np.ones(2))]), ("vitals", timed)],
+                CombineMode.SEPARATE,
+                entity_id="p1",
             )
