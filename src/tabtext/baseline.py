@@ -15,6 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .data_model import CellValue, ColumnKind, Row, TableSchema, group_rows
+from .errors import ValidationError
 from .formats import read_features, write_features
 
 SERIES_STATS = ("mean", "min", "max", "variance", "average_change", "count")
@@ -81,21 +82,23 @@ def summarize_series(values: Sequence[tuple[float, float]]) -> dict[str, float]:
 
     Sample variance (n-1 denominator, 0 when n <= 1); average_change is the
     endpoint slope (last - first) / (n - 1) after sorting by timestamp.
-    Empty series gives all zeros.
+    Empty series gives all zeros. A statistic that overflows raises
+    ``FloatingPointError``.
     """
     if not values:
         return {stat: 0.0 for stat in SERIES_STATS}
     ordered = sorted(values, key=lambda pair: pair[0])
     data = np.array([v for _, v in ordered], dtype=np.float64)
     n = len(data)
-    return {
-        "mean": float(data.mean()),
-        "min": float(data.min()),
-        "max": float(data.max()),
-        "variance": float(data.var(ddof=1)) if n > 1 else 0.0,
-        "average_change": float((data[-1] - data[0]) / (n - 1)) if n > 1 else 0.0,
-        "count": float(n),
-    }
+    with np.errstate(over="raise", invalid="raise"):
+        return {
+            "mean": float(data.mean()),
+            "min": float(data.min()),
+            "max": float(data.max()),
+            "variance": float(data.var(ddof=1)) if n > 1 else 0.0,
+            "average_change": float((data[-1] - data[0]) / (n - 1)) if n > 1 else 0.0,
+            "count": float(n),
+        }
 
 
 def build_baseline_features(
@@ -118,19 +121,22 @@ def build_baseline_features(
     columns: list[np.ndarray] = []
 
     for source, schema, rows in sources:
-        grouped = group_rows(source, schema, rows, universe, "baseline")
+        grouped = group_rows(source, schema, rows, universe)
         per_entity = [grouped.get(e, []) for e in universe]
         latest = [max(r, key=lambda row: row.timestamp) if r else None for r in per_entity]
         for col in schema.value_columns:
             if col.kind is ColumnKind.NUMERIC and schema.time_column is not None:
-                stats = [
-                    summarize_series([
-                        (row.timestamp, value)
-                        for row in entity_rows
-                        if (value := _number(row.cells[col.name])) is not None
-                    ])
-                    for entity_rows in per_entity
-                ]
+                stats = []
+                for entity, entity_rows in zip(universe, per_entity):
+                    series = [(row.timestamp, value) for row in entity_rows
+                              if (value := _number(row.cells[col.name])) is not None]
+                    try:
+                        stats.append(summarize_series(series))
+                    except FloatingPointError as exc:
+                        raise ValidationError(
+                            f"source '{source}': a statistic of column '{col.name}' of "
+                            f"entity '{entity}' overflows ({exc})"
+                        ) from None
                 names.extend(f"{source}.{col.name}.{stat}" for stat in SERIES_STATS)
                 columns.extend(np.array([s[stat] for s in stats]) for stat in SERIES_STATS)
                 continue

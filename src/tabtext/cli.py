@@ -16,7 +16,7 @@ import numpy as np
 from .baseline import FeatureMatrix, build_baseline_features
 from .data_model import from_dict, load_schema
 from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, embed_text, make_backend
-from .errors import BackendError, StageError, TabTextError, ValidationError
+from .errors import BackendError, TabTextError, ValidationError, stage
 from .evaluation import SplitSpec, evaluate_features
 from .formats import read_embeddings, read_sentences, write_embeddings, write_sentences
 from .pipeline import load_inputs, load_run_config, load_table, run_compare, run_grid
@@ -35,21 +35,18 @@ def cli():
     """TabText: tabular-to-text feature extraction and evaluation."""
 
 
+def _given(options: dict) -> dict:
+    """The options that were set on the command line. The others default to
+    None, so that the config class they set holds each default once."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _ser_options(fn):
-    fn = click.option(
-        "--missing-policy",
-        type=click.Choice([p.value for p in MissingPolicy]),
-        default=MissingPolicy.ENCODE_MISSING.value,
-    )(fn)
-    fn = click.option("--meta/--no-meta", "include_meta", default=True)(fn)
-    fn = click.option("--descriptive/--terse", default=False)(fn)
-    fn = click.option(
-        "--combine",
-        "combine_sources",
-        type=click.Choice([m.value for m in CombineMode]),
-        default=CombineMode.SEPARATE.value,
-    )(fn)
-    return fn
+    fn = click.option("--missing-policy", type=click.Choice([p.value for p in MissingPolicy]))(fn)
+    fn = click.option("--meta/--no-meta", "include_meta", default=None)(fn)
+    fn = click.option("--descriptive/--terse", default=None)(fn)
+    combine = click.Choice([m.value for m in CombineMode])
+    return click.option("--combine", "combine_sources", type=combine)(fn)
 
 
 @cli.command("gen-corpus")
@@ -81,7 +78,7 @@ def serialize(data, schema, out_path, **axes):
     """Serialize a table to a sentence TSV, one line per row."""
     table_schema = load_schema(schema)
     rows = load_table(data, table_schema)
-    config = from_dict(SerializationConfig, axes, "serialization")
+    config = from_dict(SerializationConfig, _given(axes), "serialization")
     write_sentences(
         out_path,
         ((row.entity_id, row.timestamp, serialize_row(table_schema, row, config)) for row in rows),
@@ -117,13 +114,10 @@ def embed(in_path, out_path, backend, dim, max_chars, cache, url):
 def aggregate(in_path, out_path, normalize):
     """Aggregate per-row embeddings into one vector per entity."""
     names, grouped = read_embeddings(in_path)
-    rows = []
-    for entity, entries in grouped.items():
-        try:
-            parts = [(Path(in_path).name, entries)]
-            rows.append(aggregate_entity(parts, CombineMode.SEPARATE, normalize, entity))
-        except (StageError, ValueError) as exc:
-            raise ValidationError(f"{in_path}: entity '{entity}': {exc}") from exc
+    rows = [
+        aggregate_entity([(in_path, entries)], CombineMode.SEPARATE, normalize, entity)
+        for entity, entries in grouped.items()
+    ]
     matrix = FeatureMatrix(
         entity_ids=list(grouped),
         feature_names=names,
@@ -140,7 +134,8 @@ def baseline(config_path, out_path):
     """Build the traditional feature matrix for all configured sources."""
     config = load_run_config(config_path)
     sources, entity_ids, labels = load_inputs(config, "baseline")
-    matrix = build_baseline_features(sources, entity_ids, labels, config.max_categories)
+    with stage("baseline", items=len(entity_ids)):
+        matrix = build_baseline_features(sources, entity_ids, labels, config.max_categories)
     target = Path(out_path) if out_path else config.output_dir / "baseline_features.csv"
     target.parent.mkdir(parents=True, exist_ok=True)
     matrix.to_csv(target)
@@ -149,12 +144,12 @@ def baseline(config_path, out_path):
 
 @cli.command("eval")
 @click.option("--features", "features_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, default=0)
-@click.option("--train-fraction", type=float, default=0.8)
-@click.option("--stratified/--no-stratified", default=True)
-def eval_cmd(features_path, seed, train_fraction, stratified):
+@click.option("--seed", type=int, default=None)
+@click.option("--train-fraction", type=float, default=None)
+@click.option("--stratified/--no-stratified", default=None)
+def eval_cmd(features_path, **split):
     """Split, fit the built-in classifier, and print test AUROC."""
-    spec = SplitSpec(train_fraction=train_fraction, seed=seed, stratified=stratified)
+    spec = SplitSpec(**_given(split))
     matrix = FeatureMatrix.from_csv(features_path)
     score, _, shash = evaluate_features(matrix, spec)
     click.echo(f"test AUROC: {score:.6f} (split {shash})")

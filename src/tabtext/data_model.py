@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator, Mapping, Optional, Union
 
 import yaml
 
-from .errors import RowParseError, SchemaError, SchemaMismatchError, StageError, ValidationError
+from .errors import RowParseError, SchemaError, SchemaMismatchError, ValidationError
 
 MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 
@@ -278,35 +278,30 @@ def parse_table(data: Union[bytes, str, IO[str]], schema: TableSchema) -> list[R
 
 
 def group_rows(
-    source: str,
-    schema: TableSchema,
-    rows: Iterable[Row],
-    universe: Iterable[str],
-    stage: str,
+    source: str, schema: TableSchema, rows: Iterable[Row], universe: Iterable[str]
 ) -> dict[str, list[Row]]:
     """One source's rows by entity, each entity's in row order.
 
     This is the rule that tells the two kinds of source apart: a time-series
     source (its schema has a ``time_column``) may hold many rows per entity,
-    but only for entities in ``universe``; a static source holds at most one
-    row per entity. A row that breaks it is a StageError of ``stage``.
+    but only for entities in ``universe``, the labels file's; a static source
+    holds at most one row per entity. A row that breaks it is a
+    ValidationError naming the source and the entity.
     """
     known = set(universe)
     is_series = schema.time_column is not None
     grouped: dict[str, list[Row]] = {}
     for row in rows:
         if is_series and row.entity_id not in known:
-            raise StageError(
-                stage,
+            raise ValidationError(
                 f"entity '{row.entity_id}' in time-series source '{source}' "
-                "is not in the entity universe",
+                "is not in the entity universe (the labels file)"
             )
         entries = grouped.setdefault(row.entity_id, [])
         if entries and not is_series:
-            raise StageError(
-                stage,
+            raise ValidationError(
                 f"static source '{source}' has multiple rows for entity "
-                f"'{row.entity_id}'",
+                f"'{row.entity_id}'"
             )
         entries.append(row)
     return grouped

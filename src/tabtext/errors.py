@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and :func:`stage`, the one
+place that turns an unexpected failure into a :class:`StageError`."""
+from __future__ import annotations
+
+import logging
+import time
+from contextlib import contextmanager
+from typing import Optional
+
+log = logging.getLogger("tabtext")
 
 
 class TabTextError(Exception):
@@ -35,3 +44,19 @@ class StageError(TabTextError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage '{stage}': {message}")
         self.stage = stage
+
+
+@contextmanager
+def stage(name: str, items: Optional[int] = None):
+    """Log one line per stage with wall time. A TabTextError passes through;
+    any other exception becomes the StageError of ``name``."""
+    start = time.perf_counter()
+    try:
+        yield
+    except TabTextError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+    elapsed = time.perf_counter() - start
+    suffix = f", {items} items" if items is not None else ""
+    log.info("stage %s done in %.2fs%s", name, elapsed, suffix)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .baseline import FeatureMatrix
 from .data_model import to_dict
-from .errors import StageError, ValidationError
+from .errors import ValidationError, stage
 from .serializer import CombineMode, MissingPolicy, SerializationConfig
 
 
@@ -156,24 +156,24 @@ def _standardize_active(
 
 
 def fit_linear_classifier(
-    train: FeatureMatrix,
+    X: np.ndarray,
+    y: np.ndarray,
     *,
     steps: int = 500,
     lr: float = 0.1,
     l2: float = 1e-4,
 ) -> LinearClassifier:
-    """Fit the built-in classifier: zero init, fixed step, L2, 500 iterations.
+    """Fit the built-in classifier on the training rows ``X`` and their 0/1
+    labels ``y``: zero init, fixed step, L2, 500 iterations.
 
     Features are standardized internally by train-set mean/std; gradient
     descent runs on the columns that vary, and a zero-variance column gets
     weight 0. Fully deterministic.
     """
-    if train.labels is None:
-        raise ValidationError("training requires labels")
-    y = np.asarray(train.labels, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if len(np.unique(y)) < 2:
         raise ValidationError("cannot fit a classifier on a single class")
-    X = np.asarray(train.values, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     scale = np.where(std > 0, std, 0.0)
@@ -298,13 +298,7 @@ def evaluate_features(
                     f"{' or '.join(map(str, absent))} in the {part} part of the split "
                     f"with seed {seed}"
                 )
-        train = FeatureMatrix(
-            entity_ids=train_ids,
-            feature_names=features.feature_names,
-            values=features.values[train_idx],
-            labels=features.labels[train_idx],
-        )
-        model = fit_linear_classifier(train)
+        model = fit_linear_classifier(features.values[train_idx], features.labels[train_idx])
         scores = model.scores(features.values[test_idx])
         aurocs.append(auroc(scores, features.labels[test_idx]))
         if seed == spec.seed:
@@ -323,16 +317,12 @@ def run_ablation(
     ``feature_builder`` maps a serialization config to the labeled feature
     matrix (serialize -> embed -> aggregate). Every point uses the same split
     seeds so AUROC differences reflect representation, not split noise; with
-    more than one split each row also holds the sd of its test AUROC.
+    more than one split each row also holds the sd of its test AUROC. Each
+    point runs as the stage ``ablate {point}``, which logs its wall time.
     """
     rows = []
     for config in grid_points(extended):
-        try:
-            features = feature_builder(config)
-            score, sd, shash = evaluate_features(features, spec)
-        except (StageError, ValidationError):
-            raise
-        except Exception as exc:
-            raise StageError("ablate", f"grid point {to_dict(config)} failed: {exc}") from exc
+        with stage(f"ablate {to_dict(config)}"):
+            score, sd, shash = evaluate_features(feature_builder(config), spec)
         rows.append(AblationRow(config, score, shash, sd))
     return AblationReport(rows=rows)

@@ -155,13 +155,23 @@ def write_embeddings(path: PathLike, dim: int, records: Iterable[tuple[str, str,
 
 
 def read_embeddings(path: PathLike) -> tuple[list[str], dict[str, list[Timed]]]:
-    """Vector column names of an embedding CSV, and its rows per entity."""
+    """Vector column names of an embedding CSV, and its rows per entity. An
+    entity has one row without a timestamp, or rows that all have one, and no
+    timestamp is negative; a row that breaks this is a ValidationError naming
+    its line and its entity."""
     records = read_csv(path, 2)
     _, header = next(records)
     grouped: dict[str, list[Timed]] = {}
-    for line, fields in records:
-        timestamp = float(_floats(path, line, fields[1:2])[0]) if fields[1] else None
-        grouped.setdefault(fields[0], []).append((timestamp, _floats(path, line, fields[2:])))
+    for line, (entity, stamp, *values) in records:
+        timestamp = float(_floats(path, line, [stamp])[0]) if stamp else None
+        if timestamp is not None and timestamp < 0:
+            raise _invalid(path, line, f"negative timestamp {stamp!r} of entity '{entity}'")
+        entries = grouped.setdefault(entity, [])
+        if entries and None in (timestamp, entries[0][0]):
+            both = timestamp is None and entries[0][0] is None
+            problem = "has two rows without" if both else "mixes rows with and without"
+            raise _invalid(path, line, f"entity '{entity}' {problem} a timestamp")
+        entries.append((timestamp, _floats(path, line, values)))
     return header[2:], grouped
 
 

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -29,7 +26,7 @@ from .embedding import (
     embed_text,
     make_backend,
 )
-from .errors import StageError, TabTextError, ValidationError
+from .errors import ValidationError, stage
 from .evaluation import (
     AblationReport,
     SplitSpec,
@@ -40,8 +37,6 @@ from .evaluation import (
 from .formats import load_labels
 from .serializer import CombineMode, SerializationConfig, serialize_row
 from .temporal import aggregate_entity
-
-log = logging.getLogger("tabtext")
 
 
 @dataclass(frozen=True)
@@ -172,21 +167,6 @@ def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
     return config
 
 
-@contextmanager
-def stage(name: str, items: Optional[int] = None):
-    """Log one line per stage with wall time; wrap failures as StageError."""
-    start = time.perf_counter()
-    try:
-        yield
-    except TabTextError:
-        raise
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
-    elapsed = time.perf_counter() - start
-    suffix = f", {items} items" if items is not None else ""
-    log.info("stage %s done in %.2fs%s", name, elapsed, suffix)
-
-
 def load_table(data: Union[str, Path], schema: TableSchema) -> list[Row]:
     """Parse the data table at ``data``; a malformed file is a ValidationError
     that names it."""
@@ -234,7 +214,7 @@ def build_tabtext_features(
     universe = list(entity_ids)
     single = ser_config.combine_sources is CombineMode.SINGLE_PARAGRAPH
     grouped = [
-        (name, schema, group_rows(name, schema, rows, universe, "features"))
+        (name, schema, group_rows(name, schema, rows, universe))
         for name, schema, rows in sources
     ]
 

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import StageError, ValidationError
+from .errors import ValidationError
 from .serializer import CombineMode
 
 
@@ -68,39 +68,24 @@ def aggregate_entity(
 ) -> np.ndarray:
     """Reduce one entity's per-source rows to a single feature vector.
 
-    Time-series sources (rows carry timestamps) are reduced with
-    :func:`aggregate_timed`; static sources must contribute exactly one row,
-    which passes through. Separate mode concatenates the per-source vectors in
-    declared order; single-paragraph mode (where the texts were already merged
-    upstream) averages them so the dimension stays fixed.
+    A source's rows are one row without a timestamp, which passes through, or
+    timestamped rows, reduced with :func:`aggregate_timed`, as ``group_rows``
+    and ``read_embeddings`` check. Separate mode concatenates the per-source
+    vectors in declared order; single-paragraph mode (where the texts were
+    already merged upstream) averages them so the dimension stays fixed.
     """
     parts: list[np.ndarray] = []
     for source, rows in per_source:
-        if len(rows) == 0:
-            raise StageError("aggregate", f"source '{source}' has no rows for entity '{entity_id}'")
-        timestamps = [t for t, _ in rows]
-        if all(t is None for t in timestamps):
-            if len(rows) > 1:
-                raise StageError(
-                    "aggregate",
-                    f"static source '{source}' has {len(rows)} rows for "
-                    f"entity '{entity_id}'; expected exactly one",
-                )
+        if rows[0][0] is None:
             parts.append(np.asarray(rows[0][1], dtype=np.float64))
-        else:
-            if any(t is None for t in timestamps):
-                raise StageError(
-                    "aggregate",
-                    f"source '{source}' mixes timestamped and static rows "
-                    f"for entity '{entity_id}'",
-                )
-            try:
-                parts.append(aggregate_timed(rows, normalize=normalize))
-            except FloatingPointError as exc:
-                raise ValidationError(
-                    f"source '{source}': the timestamp-weighted sum of entity "
-                    f"'{entity_id}' overflows ({exc})"
-                ) from None
+            continue
+        try:
+            parts.append(aggregate_timed(rows, normalize=normalize))
+        except FloatingPointError as exc:
+            raise ValidationError(
+                f"source '{source}': the timestamp-weighted sum of entity "
+                f"'{entity_id}' overflows ({exc})"
+            ) from None
 
     if mode is CombineMode.SINGLE_PARAGRAPH:
         return np.stack(parts).mean(axis=0)

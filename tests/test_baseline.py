@@ -18,7 +18,7 @@ from tabtext.data_model import (
     TableSchema,
     parse_table,
 )
-from tabtext.errors import StageError
+from tabtext.errors import ValidationError
 from tabtext.formats import _BLOCK_ROWS
 
 
@@ -190,7 +190,7 @@ class TestBuildBaselineFeatures:
 
     def test_unknown_series_entity_is_error(self):
         sources = fixture_sources()
-        with pytest.raises(StageError, match="p2"):
+        with pytest.raises(ValidationError, match="p2"):
             build_baseline_features(sources, ["p1", "p3"])
 
     def test_duplicate_static_row_is_error(self):
@@ -198,7 +198,7 @@ class TestBuildBaselineFeatures:
             "id,age,height,weight,color,note\np1,1,2,3,a,x\np1,4,5,6,b,y\n",
             STATIC_SCHEMA,
         )
-        with pytest.raises(StageError, match="multiple rows"):
+        with pytest.raises(ValidationError, match="multiple rows"):
             build_baseline_features([("demo", STATIC_SCHEMA, rows)], ["p1"])
 
     def test_entity_absent_from_static_source_gets_zeros(self):

@@ -134,13 +134,44 @@ def test_unknown_backend_is_backend_error(corpus, tmp_path):
     assert main(["compare", "--config", str(config)]) == 3
 
 
-def test_unreachable_remote_backend_exit_code(corpus, tmp_path):
+@pytest.mark.parametrize("command", ["compare", "ablate"])
+def test_unreachable_remote_backend_exit_code(corpus, tmp_path, command, capsys):
     config = write_config(
         corpus,
         tmp_path / "out",
         embedding={"backend": "remote", "dim": 8, "url": "http://127.0.0.1:9/embed"},
     )
-    assert main(["compare", "--config", str(config)]) == 3
+    assert main([command, "--config", str(config)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("backend error: ")
+
+
+FIRST_GRID_POINT = (
+    "{'missing_policy': 'exclude', 'include_meta': True, 'descriptive': True, "
+    "'combine_sources': 'separate'}"
+)
+# A function each command runs inside a stage, and the name of that stage.
+STAGE_FAULTS = {
+    "compare": ("tabtext.pipeline.build_tabtext_features", "features"),
+    "ablate": ("tabtext.pipeline.build_tabtext_features", f"ablate {FIRST_GRID_POINT}"),
+    "baseline": ("tabtext.cli.build_baseline_features", "baseline"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_FAULTS))
+def test_unexpected_failure_in_a_stage_is_stage_error(
+    corpus, tmp_path, command, monkeypatch, capsys
+):
+    target, name = STAGE_FAULTS[command]
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(target, fail)
+    config = write_config(corpus, tmp_path / "out")
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: stage '{name}': unexpected"
+    assert "Traceback" not in err
 
 
 def test_bad_flag_usage_is_validation_error():
@@ -205,20 +236,29 @@ def write_embeddings(tmp_path, *rows):
     return path
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        ("p1,,1.0,0.0", "p1,2.0,0.0,1.0"),  # empty and numeric timestamps mixed
-        ("p1,,1.0,0.0", "p1,,0.0,1.0"),  # two static rows
-        ("p1,x,1.0,0.0",),  # timestamp is not a number
-        ("p1,1.0,1.0",),  # fewer values than the header
-        ("p1,2.0,1e308,0.5", "p1,3.0,1e308,0.25"),  # the weighted sum overflows
-    ],
-)
+# Each bad embedding file, by its rows, with its error message; {} is its path.
+BAD_EMBEDDINGS = {
+    ("p1,,1.0,0.0", "p1,2.0,0.0,1.0"):
+        "{} line 3: entity 'p1' mixes rows with and without a timestamp",
+    ("p1,,1.0,0.0", "p1,,0.0,1.0"): "{} line 3: entity 'p1' has two rows without a timestamp",
+    ("p1,x,1.0,0.0",): "{} line 2: could not convert string to float: 'x'",
+    ("p1,1.0,1.0",): "{} line 2: 3 fields, not 4",
+    ("p1,2.0,1e308,0.5", "p1,3.0,1e308,0.25"): (
+        "source '{}': the timestamp-weighted sum of entity 'p1' overflows "
+        "(overflow encountered in multiply)"
+    ),
+    ("p1,1.0,1.0,0.0", "p1,-1.0,0.0,1.0"): "{} line 3: negative timestamp '-1.0' of entity 'p1'",
+    ("p1,2.0,1.0,0.0", "p1,,0.0,1.0"):
+        "{} line 3: entity 'p1' mixes rows with and without a timestamp",
+}
+
+
+@pytest.mark.parametrize("rows", list(BAD_EMBEDDINGS))
 def test_aggregate_bad_input_is_validation_error(tmp_path, rows, capsys):
     embeddings = write_embeddings(tmp_path, *rows)
     assert main(["aggregate", "--in", str(embeddings), "--out", str(tmp_path / "f.csv")]) == 1
-    assert "validation error" in capsys.readouterr().err
+    message = BAD_EMBEDDINGS[rows].format(embeddings)
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 def test_aggregate_empty_file_is_validation_error(tmp_path, capsys):
@@ -716,6 +756,31 @@ def test_overflowing_timestamps_are_validation_error_naming_the_entity(
     message = (
         "validation error: source 'vitals': the timestamp-weighted sum of entity "
         "'p00000' overflows (overflow encountered in reduce)"
+    )
+    assert [line for line in err.splitlines() if "error" in line] == [message] * 2
+    assert "Warning" not in err and "Traceback" not in err
+
+
+def test_overflowing_series_statistic_is_validation_error_naming_the_entity(
+    corpus, tmp_path, capsys
+):
+    lines = (corpus / "vitals.csv").read_text().splitlines()
+    assert lines[0] == "id,hour,heart_rate,resp_rate" and lines[1].startswith("p00000,")
+    entity, hour, _, resp_rate = lines[1].split(",")
+    lines[1] = f"{entity},{hour},1e308,{resp_rate}"
+    vitals = tmp_path / "vitals.csv"
+    vitals.write_text("\n".join(lines) + "\n")
+    sources = [
+        {"data": "demographics.csv", "schema": "demographics.schema.yaml"},
+        {"data": str(vitals), "schema": "vitals.schema.yaml"},
+    ]
+    config = write_config(corpus, tmp_path / "out", sources=sources)
+    assert main(["baseline", "--config", str(config)]) == 1
+    assert main(["compare", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    message = (
+        "validation error: source 'vitals': a statistic of column 'heart_rate' of entity "
+        "'p00000' overflows (overflow encountered in square)"
     )
     assert [line for line in err.splitlines() if "error" in line] == [message] * 2
     assert "Warning" not in err and "Traceback" not in err

@@ -12,7 +12,7 @@ from tabtext.data_model import (
     load_schema,
     parse_table,
 )
-from tabtext.errors import RowParseError, SchemaError, SchemaMismatchError, StageError
+from tabtext.errors import RowParseError, SchemaError, SchemaMismatchError, ValidationError
 
 
 def make_schema(time_column=None, extra_cols=()):
@@ -168,7 +168,7 @@ class TestParseTable:
 class TestGroupRows:
     def test_series_rows_keep_their_order_per_entity(self):
         rows = parse_table("id,age,t\np2,1,9\np1,2,5\np2,3,1\n", make_schema("t"))
-        grouped = group_rows("vitals", make_schema("t"), rows, ["p1", "p2"], "features")
+        grouped = group_rows("vitals", make_schema("t"), rows, ["p1", "p2"])
         assert {e: [r.cells["age"].raw for r in rs] for e, rs in grouped.items()} == {
             "p2": ["1", "3"],
             "p1": ["2"],
@@ -183,8 +183,8 @@ class TestGroupRows:
     )
     def test_breach_is_stage_error_of_the_caller(self, time_column, text, message):
         rows = parse_table(text, make_schema(time_column))
-        with pytest.raises(StageError, match=f"stage 'baseline': {message}"):
-            group_rows("src", make_schema(time_column), rows, ["p1"], "baseline")
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            group_rows("src", make_schema(time_column), rows, ["p1"])
 
 
 class TestCellValue:

@@ -160,7 +160,7 @@ class TestFitLinearClassifier:
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(-2, 0.3, (20, 2)), rng.normal(2, 0.3, (20, 2))])
         y = np.array([0] * 20 + [1] * 20)
-        model = fit_linear_classifier(make_matrix(X, y))
+        model = fit_linear_classifier(X, y)
         assert auroc(model.scores(X), y) == 1.0
 
     def test_null_features_stay_near_chance(self):
@@ -179,22 +179,21 @@ class TestFitLinearClassifier:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(30, 3))
         y = np.array([0, 1] * 15)
-        model = fit_linear_classifier(make_matrix(X, y), steps=0)
+        model = fit_linear_classifier(X, y, steps=0)
         assert auroc(model.scores(X), y) == 0.5
 
     def test_single_class_error(self):
         X = np.zeros((4, 2))
         with pytest.raises(ValidationError):
-            fit_linear_classifier(make_matrix(X, np.zeros(4, dtype=int)))
+            fit_linear_classifier(X, np.zeros(4, dtype=int))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(50, 4))
         y = rng.integers(0, 2, size=50)
         y[:2] = [0, 1]
-        features = make_matrix(X, y)
-        a = fit_linear_classifier(features)
-        b = fit_linear_classifier(features)
+        a = fit_linear_classifier(X, y)
+        b = fit_linear_classifier(X, y)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
@@ -203,7 +202,7 @@ class TestFitLinearClassifier:
         X = rng.normal(size=(40, 2))
         X[:, 1] = 7.0
         y = (X[:, 0] > 0).astype(int)
-        model = fit_linear_classifier(make_matrix(X, y))
+        model = fit_linear_classifier(X, y)
         assert model.weights[1] == 0.0
 
 
@@ -265,7 +264,7 @@ class TestActiveColumnFit:
         for seed in seeds:
             X, y, T, y_test = differential_case(seed)
             mean, scale, weights, scores = reference_fit(X, y)
-            model = fit_linear_classifier(make_matrix(X, y))
+            model = fit_linear_classifier(X, y)
             assert model.feature_mean.tobytes() == mean.tobytes()
             assert model.feature_scale.tobytes() == scale.tobytes()
             ignored = scale == 0
@@ -288,7 +287,7 @@ class TestActiveColumnFit:
 
     def test_huge_value_in_an_ignored_column_changes_no_score(self):
         X, y, T, _ = differential_case(5)
-        model = fit_linear_classifier(make_matrix(X, y))
+        model = fit_linear_classifier(X, y)
         ignored = model.feature_scale == 0
         assert ignored.any() and not ignored.all()
         huge = T.copy()

@@ -7,7 +7,7 @@ import yaml
 
 from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema, parse_table
 from tabtext.embedding import HashingBackend
-from tabtext.errors import StageError, ValidationError
+from tabtext.errors import ValidationError
 from tabtext.evaluation import SplitSpec
 from tabtext.pipeline import (
     RunConfig,
@@ -111,12 +111,12 @@ class TestConsistency:
     @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
     def test_duplicate_static_row_is_error(self, config):
         demo = static_source("demo", "age", "id,age\np1,50\np1,51\n")
-        with pytest.raises(StageError, match="multiple rows for entity 'p1'"):
+        with pytest.raises(ValidationError, match="multiple rows for entity 'p1'"):
             build([demo, VITALS], config, HashingBackend(dim=16))
 
     @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
     def test_series_entity_outside_universe_is_error(self, config):
-        with pytest.raises(StageError, match="'p2'.*not in the entity universe"):
+        with pytest.raises(ValidationError, match="'p2'.*not in the entity universe"):
             build([DEMO, VITALS], config, HashingBackend(dim=16), ids=("p1",))
 
     def test_static_entity_outside_universe_is_ignored(self):

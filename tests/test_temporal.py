@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from tabtext.errors import StageError, ValidationError
+from tabtext.errors import ValidationError
 from tabtext.serializer import CombineMode
 from tabtext.temporal import TimedEmbedding, aggregate_entity, aggregate_timed
 
@@ -159,21 +159,6 @@ class TestAggregateEntity:
             CombineMode.SINGLE_PARAGRAPH,
         )
         np.testing.assert_allclose(out, [1.0, 1.0])
-
-    def test_multiple_static_rows_is_error(self):
-        with pytest.raises(StageError, match="expected exactly one"):
-            aggregate_entity(
-                [("demo", [(None, np.ones(2)), (None, np.ones(2))])],
-                CombineMode.SEPARATE,
-                entity_id="p1",
-            )
-
-    def test_mixed_static_and_timed_rows_is_error(self):
-        with pytest.raises(StageError, match="mixes"):
-            aggregate_entity(
-                [("demo", [(None, np.ones(2)), (1.0, np.ones(2))])],
-                CombineMode.SEPARATE,
-            )
 
     def test_overflowing_weights_are_validation_error_naming_source_and_entity(self):
         timed = [(1e308, np.ones(2)), (1e308, np.ones(2))]
