@@ -114,15 +114,10 @@ def embed(in_path, out_path, backend, dim, max_chars, cache, url):
 def aggregate(in_path, out_path, normalize):
     """Aggregate per-row embeddings into one vector per entity."""
     names, grouped = read_embeddings(in_path)
-    rows = [
-        aggregate_entity([(in_path, entries)], CombineMode.SEPARATE, normalize, entity)
-        for entity, entries in grouped.items()
-    ]
-    matrix = FeatureMatrix(
-        entity_ids=list(grouped),
-        feature_names=names,
-        values=np.array(rows).reshape(len(rows), len(names)),
-    )
+    values = np.empty((len(grouped), len(names)), dtype=np.float64)
+    for i, (entity, entries) in enumerate(grouped.items()):
+        values[i] = aggregate_entity([(in_path, entries)], CombineMode.SEPARATE, normalize, entity)
+    matrix = FeatureMatrix(entity_ids=list(grouped), feature_names=names, values=values)
     matrix.to_csv(out_path)
     click.echo(f"wrote {len(grouped)} entity vectors to {out_path}")
 

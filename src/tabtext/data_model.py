@@ -96,7 +96,7 @@ class TableSchema:
         return tuple(c for c in self.columns if c.name not in skip)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellValue:
     """One cell. Missing cells keep the original token in ``raw``."""
 
@@ -125,7 +125,7 @@ def _parse_finite(raw: str) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     entity_id: str
     cells: Mapping[str, CellValue]

@@ -202,7 +202,8 @@ def build_tabtext_features(
     backend: EmbeddingBackend,
     normalize: bool = True,
 ) -> FeatureMatrix:
-    """Serialize, embed, and aggregate every entity into one feature row.
+    """Serialize, embed, and aggregate every entity into its row of one
+    feature matrix, which is allocated once and filled in place.
 
     ``entity_ids`` is the entity universe, and each source's rows are grouped
     by :func:`~tabtext.data_model.group_rows`. Separate mode
@@ -218,9 +219,13 @@ def build_tabtext_features(
         for name, schema, rows in sources
     ]
 
-    vectors = []
+    if single:
+        names = [f"text.e{i}" for i in range(backend.dim)]
+    else:
+        names = [f"{name}.e{i}" for name, _, _ in grouped for i in range(backend.dim)]
+    values = np.empty((len(universe), len(names)), dtype=np.float64)
     zero = np.zeros(backend.dim, dtype=np.float64)
-    for entity in universe:
+    for i, entity in enumerate(universe):
         parts: list[tuple[str, list[tuple[Optional[float], np.ndarray]]]] = []
         static_texts: list[str] = []
         for name, schema, per_entity in grouped:
@@ -238,24 +243,23 @@ def build_tabtext_features(
         if static_texts:
             merged = embed_text(" ".join(static_texts), backend)
             parts.insert(0, ("static", [(None, merged)]))
-        vectors.append(
-            aggregate_entity(parts, ser_config.combine_sources, normalize, entity)
-        )
+        values[i] = aggregate_entity(parts, ser_config.combine_sources, normalize, entity)
 
-    if single:
-        names = [f"text.e{i}" for i in range(backend.dim)]
-    else:
-        names = [f"{name}.e{i}" for name, _, _ in grouped for i in range(backend.dim)]
     return FeatureMatrix(
         entity_ids=universe,
         feature_names=names,
-        values=np.stack(vectors),
+        values=values,
         labels=[labels[e] for e in universe] if labels else None,
     )
 
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The sha256 of the file at ``path``, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        while block := f.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def run_compare(config: RunConfig) -> dict:

@@ -285,6 +285,34 @@ class TestActiveColumnFit:
         }
         assert {(0.0, False), (0.0, True), (7.0, False), (-3.5, True)} <= held
 
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 200])
+    def test_fit_through_rows_matches_fit_on_a_copy_of_the_rows(self, width):
+        # Widths below, at and above one block of the mean and sd pass; every
+        # fourth column varies and the others hold 0.0, -0.0, 7.0 or -3.5.
+        rng = np.random.default_rng(width)
+        values = rng.normal(size=(150, width)) * rng.uniform(0.01, 1e3, size=width)
+        for j in range(1, width):
+            if j % 4:
+                values[:, j] = CONSTANTS[j % 4 - 1 + (j // 4) % 2]
+        train = sorted(rng.choice(150, size=110, replace=False).tolist())
+        test = sorted(set(range(150)) - set(train))
+        y = rng.integers(0, 2, size=110)
+        y[:2] = [0, 1]
+        mean, scale, _, _ = reference_fit(values[train], y, steps=0)
+        active = np.flatnonzero(scale > 0)
+        Xs = (values[train][:, active] - mean[active]) / scale[active]
+        weights = np.zeros(width)
+        weights[active], bias = _logistic_gd(Xs, y.astype(np.float64), 500, 0.1, 1e-4)
+        scores = (values[test][:, active] - mean[active]) / scale[active] @ weights[active] + bias
+
+        model = fit_linear_classifier(values, y, rows=train)
+        assert model.feature_mean.tobytes() == mean.tobytes()
+        assert model.feature_scale.tobytes() == scale.tobytes()
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias == bias
+        assert model.scores(values, test).tobytes() == scores.tobytes()
+        assert model.scores(values[test]).tobytes() == scores.tobytes()
+
     def test_huge_value_in_an_ignored_column_changes_no_score(self):
         X, y, T, _ = differential_case(5)
         model = fit_linear_classifier(X, y)

@@ -1,0 +1,56 @@
+"""Memory guards: a feature matrix is built in place and evaluated through row
+indices, never copied at full width. tracemalloc counts numpy's buffers, so a
+list of per-entity rows stacked into the matrix, or a copy of the training
+rows, shows in the traced peak of the call."""
+import tracemalloc
+
+import pytest
+
+from tabtext.data_model import load_schema
+from tabtext.embedding import HashingBackend
+from tabtext.evaluation import SplitSpec, evaluate_features
+from tabtext.formats import load_labels
+from tabtext.pipeline import build_tabtext_features, load_table
+from tabtext.serializer import SerializationConfig
+from tabtext.synthetic import CorpusSpec, generate
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus")
+    generate(CorpusSpec(seed=3, n_entities=400), path)
+    sources = []
+    for name in ("demographics", "vitals"):
+        schema = load_schema(path / f"{name}.schema.yaml")
+        sources.append((name, schema, load_table(path / f"{name}.csv", schema)))
+    ids, labels = load_labels(path / "labels.csv")
+    return sources, ids, labels
+
+
+def traced_peak(call):
+    """The result of ``call()`` and the peak of the memory that it allocated
+    while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def build(inputs, backend):
+    sources, ids, labels = inputs
+    return build_tabtext_features(sources, ids, labels, SerializationConfig(), backend)
+
+
+def test_building_features_holds_one_matrix(inputs):
+    backend = HashingBackend()
+    build(inputs, backend)  # warms the backend's token cache, which is kept
+    features, peak = traced_peak(lambda: build(inputs, backend))
+    assert features.values.shape == (400, 2 * backend.dim)
+    assert peak <= 1.25 * features.values.nbytes
+
+
+def test_evaluating_features_copies_no_full_width_matrix(inputs):
+    features = build(inputs, HashingBackend())
+    _, peak = traced_peak(lambda: evaluate_features(features, SplitSpec(seed=0)))
+    assert peak <= 0.75 * features.values.nbytes

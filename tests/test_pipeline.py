@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from tabtext.errors import ValidationError
 from tabtext.evaluation import SplitSpec
 from tabtext.pipeline import (
     RunConfig,
+    _digest,
     SourceConfig,
     build_tabtext_features,
     load_labels,
@@ -151,6 +153,12 @@ class TestLoadLabels:
     def test_bad_line_is_validation_error(self, tmp_path, body, line):
         with pytest.raises(ValidationError, match=f"line {line}:"):
             load_labels(self.write(tmp_path, body))
+
+
+def test_digest_reads_a_file_of_several_chunks(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(5 * (1 << 19) + 7))
+    assert _digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_config_hash_is_stable():
