@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Optional, Union
@@ -69,6 +69,8 @@ class TableSchema:
     columns: tuple[ColumnSpec, ...]
     entity_column: str
     time_column: Optional[str] = None
+    # Columns that carry data, i.e. everything but the entity and time columns.
+    value_columns: tuple[ColumnSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -82,18 +84,16 @@ class TableSchema:
         n_ts = sum(1 for c in self.columns if c.kind is ColumnKind.TIMESTAMP)
         if n_ts > 1:
             raise SchemaError("at most one column may have kind 'timestamp'")
+        skip = {self.entity_column, self.time_column}
+        object.__setattr__(
+            self, "value_columns", tuple(c for c in self.columns if c.name not in skip)
+        )
 
     def column(self, name: str) -> ColumnSpec:
         for c in self.columns:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    @property
-    def value_columns(self) -> tuple[ColumnSpec, ...]:
-        """Columns that carry data, i.e. everything but entity/time columns."""
-        skip = {self.entity_column, self.time_column}
-        return tuple(c for c in self.columns if c.name not in skip)
 
 
 @dataclass(frozen=True, slots=True)

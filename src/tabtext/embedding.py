@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
+import math
 import weakref
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -28,7 +28,16 @@ from .errors import BackendError
 DEFAULT_DIM = 768
 DEFAULT_MAX_CHARS = 510
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Tokens are the runs of [a-z0-9] in a lowercased text, split out of its UTF-8
+# bytes with every other byte made a space: a character outside ASCII encodes
+# to bytes >= 0x80 only, so it separates tokens as it does in the text.
+_TOKEN_BYTES = frozenset(b"abcdefghijklmnopqrstuvwxyz0123456789")
+_SEPARATE = bytes(c if c in _TOKEN_BYTES else ord(" ") for c in range(256))
+
+
+def _tokens(text: str) -> list[bytes]:
+    """The [a-z0-9]+ runs of the lowercased text, as UTF-8 bytes."""
+    return text.lower().encode("utf-8", "surrogatepass").translate(_SEPARATE).split()
 
 
 def chunk_text(text: str, max_chars: int = DEFAULT_MAX_CHARS) -> list[str]:
@@ -74,9 +83,9 @@ class EmbeddingBackend(Protocol):
 class HashingBackend:
     """Deterministic bag-of-tokens feature-hashing embedder.
 
-    Lowercase, split on non-alphanumerics, hash each token to a bucket with a
-    +/-1 sign from a second hash, sum counts, then L2-normalize (the zero
-    vector stays zero). Pure and reentrant.
+    Lowercase, split on all but ASCII letters and digits, hash each token to
+    a bucket with a +/-1 sign from a second hash, sum counts, then
+    L2-normalize (the zero vector stays zero). Pure and reentrant.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, max_chars: int = DEFAULT_MAX_CHARS):
@@ -85,28 +94,31 @@ class HashingBackend:
         self.dim = dim
         self.max_chars = max_chars
         self.backend_id = f"hashing-d{dim}"
-        self._token_cache: dict[str, tuple[int, float]] = {}
+        self._token_cache: dict[bytes, tuple[int, float]] = {}
 
-    def _bucket_sign(self, token: str) -> tuple[int, float]:
-        hit = self._token_cache.get(token)
-        if hit is None:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=16).digest()
-            bucket = int.from_bytes(digest[:8], "big") % self.dim
-            sign = 1.0 if digest[8] & 1 else -1.0
-            hit = (bucket, sign)
-            self._token_cache[token] = hit
+    def _bucket_sign(self, token: bytes) -> tuple[int, float]:
+        """Hash a token not yet in the token cache, and cache it."""
+        digest = hashlib.blake2b(token, digest_size=16).digest()
+        hit = (int.from_bytes(digest[:8], "big") % self.dim, 1.0 if digest[8] & 1 else -1.0)
+        self._token_cache[token] = hit
         return hit
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        cached = self._token_cache.get
         for i, text in enumerate(texts):
-            vec = out[i]
-            for token in _TOKEN_RE.findall(text.lower()):
-                bucket, sign = self._bucket_sign(token)
-                vec[bucket] += sign
-            norm = np.linalg.norm(vec)
+            counts: dict[int, float] = {}
+            for token in _tokens(text):
+                bucket, sign = cached(token) or self._bucket_sign(token)
+                counts[bucket] = counts.get(bucket, 0.0) + sign
+            # Each count and the sum of their squares is an exact small
+            # integer, so this norm and each quotient are bit for bit those
+            # of np.linalg.norm and an in-place division of the dense vector.
+            norm = math.sqrt(sum([count * count for count in counts.values()]))
             if norm > 0:
-                vec /= norm
+                vec = out[i]
+                for bucket, count in counts.items():
+                    vec[bucket] = count / norm
         return out
 
 

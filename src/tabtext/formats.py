@@ -100,22 +100,29 @@ def write_float_rows(handle: TextIO, leads: Sequence[Sequence[str]], values: np.
     """Write one CSV line per row of ``values``: the row's ``leads`` fields,
     then its values in shortest round-trip form (``repr``).
 
-    Zero cells share one "0.0" string; only non-zero and -0.0 cells are
-    formatted, a block of rows at a time.
+    Only non-zero and -0.0 cells are formatted, a block of rows at a time and
+    each distinct value of a block once; a run of k zero cells is written as
+    ``",0.0" * k``.
     """
-    template = ["0.0"] * values.shape[1]
+    width = values.shape[1]
     for start in range(0, len(values), _BLOCK_ROWS):
         block = values[start : start + _BLOCK_ROWS]
         rows, cols = np.nonzero((block != 0) | np.signbit(block))
-        texts = [repr(v) for v in block[rows, cols].tolist()]
+        # np.unique holds -0.0 equal to 0.0, but -0.0 is the only zero among these cells.
+        distinct, which = np.unique(block[rows, cols], return_inverse=True)
+        texts = ["," + repr(v) for v in distinct.tolist()]
         bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
-        cols = cols.tolist()
+        cols, which = cols.tolist(), which.tolist()
         for i, lead in enumerate(leads[start : start + len(block)]):
-            fields = [*map(_csv_field, lead), *template]
-            offset = len(lead)
+            parts = [",".join(map(_csv_field, lead))]
+            done = 0
             for j in range(bounds[i], bounds[i + 1]):
-                fields[offset + cols[j]] = texts[j]
-            handle.write(",".join(fields) + "\n")
+                parts.append(",0.0" * (cols[j] - done))
+                parts.append(texts[which[j]])
+                done = cols[j] + 1
+            parts.append(",0.0" * (width - done) + "\n")
+            line = "".join(parts)
+            handle.write(line if lead else line[1:])
 
 
 def _write_csv(path: PathLike, header: Sequence[str], blocks: Iterable[tuple[list, np.ndarray]]):
@@ -187,13 +194,20 @@ def read_features(path: PathLike) -> tuple[list, list, np.ndarray, Optional[np.n
     records = read_csv(path, 1)
     _, header = next(records)
     start = 2 if header[1:2] == ["label"] else 1
-    ids, labels, rows = [], [], []
+    # csv.reader reads lines ended by \n, \r\n or \r, and each record takes
+    # one or more of them: so the matrix is filled in place, not stacked.
+    with open(path, "rb") as handle:
+        lines = sum(1 + line.count(b"\r") - line.endswith(b"\r\n") for line in handle)
+    capacity = lines - 1
+    values = np.empty((capacity, len(header) - start), dtype=np.float64)
+    ids, labels = [], []
     for line, fields in records:
-        ids.append(fields[0])
         if start == 2:
             labels.append(_label(path, line, fields[1]))
-        rows.append(_floats(path, line, fields[start:]))
-    values = np.array(rows, dtype=np.float64).reshape(len(ids), len(header) - start)
+        values[len(ids)] = _floats(path, line, fields[start:])
+        ids.append(fields[0])
+    if len(ids) < capacity:
+        values = values[: len(ids)].copy()
     return ids, header[start:], values, np.array(labels) if start == 2 else None
 
 

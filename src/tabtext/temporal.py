@@ -41,22 +41,24 @@ def aggregate_timed(
             raise ValueError(f"dimension mismatch: {len(embedding)} != {dim}")
 
     order = sorted(range(len(series)), key=lambda i: (series[i][0], i))
-    vectors = np.stack([np.asarray(series[i][1], dtype=np.float64) for i in order])
+    # float64 first: a float32 vector times a Python float stays float32.
+    vectors = [np.asarray(series[i][1], dtype=np.float64) for i in order]
     weights = np.array([series[i][0] for i in order], dtype=np.float64)
 
     with np.errstate(over="raise", invalid="raise"):
         total = weights.sum()
         if total == 0.0:
             if normalize:
-                return vectors.mean(axis=0)
+                return np.stack(vectors).mean(axis=0)
             return np.zeros(dim, dtype=np.float64)
         # A sequential loop, not ``weights @ vectors``: the BLAS product sums in
         # another order and changes the low bits of the features.
         out = np.zeros(dim, dtype=np.float64)
-        for weight, vector in zip(weights, vectors):
-            out += weight * vector
+        term = np.empty(dim, dtype=np.float64)
+        for weight, vector in zip(weights.tolist(), vectors):
+            out += np.multiply(weight, vector, out=term)
         if normalize:
-            out = out / total
+            out /= total
     return out
 
 

@@ -1,7 +1,7 @@
-"""Memory guards: a feature matrix is built in place and evaluated through row
-indices, never copied at full width. tracemalloc counts numpy's buffers, so a
-list of per-entity rows stacked into the matrix, or a copy of the training
-rows, shows in the traced peak of the call."""
+"""Memory guards: a feature matrix is built and read back in place and
+evaluated through row indices, never copied at full width. tracemalloc counts
+numpy's buffers, so a list of per-entity rows stacked into the matrix, or a
+copy of the training rows, shows in the traced peak of the call."""
 import tracemalloc
 
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from tabtext.data_model import load_schema
 from tabtext.embedding import HashingBackend
 from tabtext.evaluation import SplitSpec, evaluate_features
-from tabtext.formats import load_labels
+from tabtext.formats import load_labels, read_features
 from tabtext.pipeline import build_tabtext_features, load_table
 from tabtext.serializer import SerializationConfig
 from tabtext.synthetic import CorpusSpec, generate
@@ -54,3 +54,13 @@ def test_evaluating_features_copies_no_full_width_matrix(inputs):
     features = build(inputs, HashingBackend())
     _, peak = traced_peak(lambda: evaluate_features(features, SplitSpec(seed=0)))
     assert peak <= 0.75 * features.values.nbytes
+
+
+def test_reading_the_feature_csv_holds_one_matrix(inputs, tmp_path):
+    features = build(inputs, HashingBackend())
+    path = tmp_path / "features.csv"
+    features.to_csv(path)
+    (ids, _, values, labels), peak = traced_peak(lambda: read_features(path))
+    assert ids == features.entity_ids and labels.tolist() == features.labels.tolist()
+    assert values.tobytes() == features.values.tobytes()
+    assert peak <= 1.25 * values.nbytes
