@@ -15,7 +15,7 @@ import numpy as np
 
 from .baseline import FeatureMatrix, build_baseline_features
 from .data_model import from_dict, load_schema
-from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, embed_text, make_backend
+from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, MAX_DIM, embed_text, make_backend
 from .errors import BackendError, TabTextError, ValidationError, stage
 from .evaluation import SplitSpec, evaluate_features
 from .formats import read_embeddings, read_sentences, write_embeddings, write_sentences
@@ -86,19 +86,14 @@ def serialize(data, schema, out_path, **axes):
     click.echo(f"wrote {len(rows)} sentences to {out_path}")
 
 
-def _backend_options(fn):
-    fn = click.option("--backend", default="hashing")(fn)
-    fn = click.option("--dim", type=click.IntRange(min=1), default=DEFAULT_DIM)(fn)
-    fn = click.option("--max-chars", type=click.IntRange(min=1), default=DEFAULT_MAX_CHARS)(fn)
-    fn = click.option("--cache", type=click.Path(), default=None)(fn)
-    fn = click.option("--url", default=None)(fn)
-    return fn
-
-
 @cli.command()
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@_backend_options
+@click.option("--backend", default="hashing")
+@click.option("--dim", type=click.IntRange(1, MAX_DIM), default=DEFAULT_DIM)
+@click.option("--max-chars", type=click.IntRange(min=1), default=DEFAULT_MAX_CHARS)
+@click.option("--cache", type=click.Path(), default=None)
+@click.option("--url", default=None)
 def embed(in_path, out_path, backend, dim, max_chars, cache, url):
     """Embed a sentence file into a per-row embedding CSV."""
     be = make_backend(backend, dim=dim, max_chars=max_chars, url=url, cache_dir=cache)

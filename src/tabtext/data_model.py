@@ -89,12 +89,6 @@ class TableSchema:
             self, "value_columns", tuple(c for c in self.columns if c.name not in skip)
         )
 
-    def column(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 @dataclass(frozen=True, slots=True)
 class CellValue:
@@ -109,12 +103,8 @@ class CellValue:
         return CellValue(raw, _parse_finite(raw), False)
 
     @staticmethod
-    def absent(original_token: str) -> "CellValue":
-        return CellValue(original_token, None, True)
-
-    @property
-    def original_token(self) -> str:
-        return self.raw
+    def absent(raw: str) -> "CellValue":
+        return CellValue(raw, None, True)
 
 
 def _parse_finite(raw: str) -> Optional[float]:

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Iterator, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .errors import BackendError
 
 DEFAULT_DIM = 768
 DEFAULT_MAX_CHARS = 510
+# The widest embedding a run may ask for, 16x a wide sentence encoder's: a
+# feature matrix is entities x sources x dim floats.
+MAX_DIM = 65536
 
 # Tokens are the runs of [a-z0-9] in a lowercased text, split out of its UTF-8
 # bytes with every other byte made a space: a character outside ASCII encodes
@@ -67,7 +70,6 @@ def chunk_text(text: str, max_chars: int = DEFAULT_MAX_CHARS) -> list[str]:
     return chunks
 
 
-@runtime_checkable
 class EmbeddingBackend(Protocol):
     """Capability contract every backend satisfies."""
 

@@ -33,21 +33,20 @@ class SplitSpec:
 
 
 def split(
-    entities: Sequence[str],
-    spec: SplitSpec,
-    labels: Optional[Sequence[int]] = None,
-) -> tuple[list[str], list[str]]:
-    """Deterministic train/test partition of the entity list.
+    n: int, spec: SplitSpec, labels: Optional[Sequence[int]] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic train/test partition of the row indices ``range(n)``,
+    each part in ascending order: the low bits of the fit depend on the order
+    of its rows.
 
     Train size is round(train_fraction * N). Stratified mode preserves the
     class ratio within one entity per class (largest-remainder allocation).
     """
-    n = len(entities)
     if n < 2:
         raise ValidationError("need at least 2 entities to split")
     n_train = int(round(spec.train_fraction * n))
     rng = np.random.default_rng(spec.seed)
-
+    in_train = np.zeros(n, dtype=bool)
     if spec.stratified:
         if labels is None:
             raise ValidationError("stratified split requires labels")
@@ -63,19 +62,13 @@ def split(
                 break
             take[c] += 1
             leftover -= 1
-        train_idx: list[int] = []
         for c in classes:
             members = np.flatnonzero(labels == c)
             perm = rng.permutation(len(members))
-            train_idx.extend(members[perm[: take[c]]])
+            in_train[members[perm[: take[c]]]] = True
     else:
-        perm = rng.permutation(n)
-        train_idx = list(perm[:n_train])
-
-    train_set = set(train_idx)
-    train = [entities[i] for i in range(n) if i in train_set]
-    test = [entities[i] for i in range(n) if i not in train_set]
-    return train, test
+        in_train[rng.permutation(n)[:n_train]] = True
+    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
 def split_hash(test_ids: Sequence[str]) -> str:
@@ -313,12 +306,10 @@ def evaluate_features(
     ``train_fraction`` and the seed."""
     if features.labels is None:
         raise ValidationError("evaluation requires labels")
-    pos = {e: i for i, e in enumerate(features.entity_ids)}
     aurocs = []
     for seed in range(spec.seed, spec.seed + spec.repeats):
-        train_ids, test_ids = split(features.entity_ids, replace(spec, seed=seed), features.labels)
-        train_idx = [pos[e] for e in train_ids]
-        test_idx = [pos[e] for e in test_ids]
+        train_idx, test_idx = split(len(features.entity_ids), replace(spec, seed=seed),
+                                    features.labels)
         for part, idx in (("train", train_idx), ("test", test_idx)):
             absent = [c for c in (0, 1) if not np.any(features.labels[idx] == c)]
             if absent:
@@ -331,7 +322,7 @@ def evaluate_features(
         scores = model.scores(features.values, test_idx)
         aurocs.append(auroc(scores, features.labels[test_idx]))
         if seed == spec.seed:
-            first_hash = split_hash(test_ids)
+            first_hash = split_hash([features.entity_ids[i] for i in test_idx])
     sd = float(np.std(aurocs, ddof=1)) if spec.repeats > 1 else None
     return float(np.mean(aurocs)), sd, first_hash
 

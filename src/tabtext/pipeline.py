@@ -22,6 +22,7 @@ from .data_model import read_section, to_dict
 from .embedding import (
     DEFAULT_DIM,
     DEFAULT_MAX_CHARS,
+    MAX_DIM,
     EmbeddingBackend,
     embed_text,
     make_backend,
@@ -84,8 +85,10 @@ class RunConfig:
                     raise ValidationError(f"path does not exist: {path}")
         if self.labels is not None and not self.labels.exists():
             raise ValidationError(f"labels file does not exist: {self.labels}")
-        if self.dim < 1 or self.max_chars < 1:
-            raise ValidationError("dim and max_chars must be positive")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValidationError(f"dim must be in [1, {MAX_DIM}], not {self.dim}")
+        if self.max_chars < 1:
+            raise ValidationError("max_chars must be positive")
         if self.max_categories < 1:
             raise ValidationError("max_categories must be >= 1")
         if not isinstance(self.backend_url, (str, type(None))):
@@ -128,7 +131,8 @@ class RunConfig:
 def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
     """Load a YAML run config; relative paths resolve against the config file.
     It holds keys of :meth:`RunConfig.sections`, read by :func:`read_section`;
-    an ``overrides`` value that is not None replaces the file's key of its name."""
+    an ``overrides`` value that is not None replaces the file's key of its name.
+    :func:`load_inputs` checks the values, before any stage runs."""
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
@@ -155,7 +159,7 @@ def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
         sources.append(SourceConfig(s.get("name") or data.stem, data, schema))
     flat = {a: sections[n][k] for n, keys in FLAT_SECTIONS.items() for k, a in keys.items()}
     flat["cache_dir"] = resolve(flat["cache_dir"], "cache")
-    config = RunConfig(
+    return RunConfig(
         sources=sources,
         labels=resolve(doc["labels"], "labels"),
         serialization=from_dict(SerializationConfig, doc["serialization"], "serialization"),
@@ -163,8 +167,6 @@ def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
         output_dir=resolve(doc["output_dir"], "output_dir"),
         **flat,
     )
-    config.validate()
-    return config
 
 
 def load_table(data: Union[str, Path], schema: TableSchema) -> list[Row]:

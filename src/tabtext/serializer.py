@@ -43,7 +43,7 @@ def serialize_cell(
             return f"{col.label} is missing"
         if config.missing_policy is MissingPolicy.ZERO_PAD:
             return f"{col.label} is 0"
-        return f"{col.label} is {cell.original_token}"
+        return f"{col.label} is {cell.raw}"
 
     if config.descriptive and col.descriptive_template is not None:
         return col.descriptive_template.replace(PLACEHOLDER, cell.raw)

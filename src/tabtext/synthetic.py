@@ -37,6 +37,13 @@ BENIGN_WORDS = (
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
+# The label mechanism. Diagnosis channel: P(signal word | y).
+P_SIGNAL_POS, P_SIGNAL_NEG = 0.95, 0.02
+# A mild numeric signal, so the baseline is better than chance.
+AGE_SHIFT, HEART_RATE_SHIFT = 7.0, 6.0
+# The informative-missingness channel: P(missing | y).
+P_MISSING_POS, P_MISSING_NEG = 0.85, 0.10
+
 
 @dataclass
 class CorpusSpec:
@@ -45,31 +52,11 @@ class CorpusSpec:
     positive_rate: float = 121 / 1590
     missingness_rate: float = 0.2
     informative_missingness: bool = False
-    # diagnosis channel: P(signal word | y)
-    p_signal_pos: float = 0.95
-    p_signal_neg: float = 0.02
-    # mild numeric signal so the baseline is better than chance
-    age_shift: float = 7.0
-    heart_rate_shift: float = 6.0
-    # informative-missingness channel: P(missing | y)
-    p_missing_pos: float = 0.85
-    p_missing_neg: float = 0.10
-    missing_token: str = "NaN"
 
     def __post_init__(self):
-        for rate in (
-            self.positive_rate,
-            self.missingness_rate,
-            self.p_signal_pos,
-            self.p_signal_neg,
-            self.p_missing_pos,
-            self.p_missing_neg,
-        ):
+        for rate in (self.positive_rate, self.missingness_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate {rate} outside [0, 1]")
-        if self.informative_missingness:
-            # only missingness may carry signal in this mode
-            self.missing_token = ""
 
 
 DEMOGRAPHICS_SCHEMA = {
@@ -138,30 +125,28 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
     ids = [f"p{i:05d}" for i in range(n)]
     y = (rng.random(n) < spec.positive_rate).astype(int)
 
-    age_shift = 0.0 if spec.informative_missingness else spec.age_shift
-    hr_shift = 0.0 if spec.informative_missingness else spec.heart_rate_shift
+    informative = spec.informative_missingness
+    missing_token = "" if informative else "NaN"
+    age_shift = 0.0 if informative else AGE_SHIFT
+    hr_shift = 0.0 if informative else HEART_RATE_SHIFT
     age = rng.normal(55.0 + age_shift * y, 12.0)
     gender = np.where(rng.random(n) < 0.5, "female", "male")
     bmi = rng.normal(27.0, 4.0, size=n)
 
-    if spec.informative_missingness:
-        p_missing = np.where(y == 1, spec.p_missing_pos, spec.p_missing_neg)
+    if informative:
+        p_missing = np.where(y == 1, P_MISSING_POS, P_MISSING_NEG)
         p_signal = np.full(n, 0.0)
     else:
         p_missing = np.full(n, spec.missingness_rate)
-        p_signal = np.where(y == 1, spec.p_signal_pos, spec.p_signal_neg)
+        p_signal = np.where(y == 1, P_SIGNAL_POS, P_SIGNAL_NEG)
 
     # informative mode: missingness lives on the three unique-word note
     # columns; every other column is pure noise (the diagnosis text gets a
     # label-independent random length so sentence-length effects are noise).
-    bmi_missing = (
-        np.zeros(n, dtype=bool)
-        if spec.informative_missingness
-        else rng.random(n) < p_missing
-    )
+    bmi_missing = np.zeros(n, dtype=bool) if informative else rng.random(n) < p_missing
     note_missing = np.column_stack([rng.random(n) < p_missing for _ in range(3)])
     has_signal = rng.random(n) < p_signal
-    if spec.informative_missingness:
+    if informative:
         diagnosis = [
             " ".join(_word(rng) for _ in range(int(rng.integers(3, 10))))
             for _ in range(n)
@@ -183,11 +168,8 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
                     ids[i],
                     f"{age[i]:.1f}",
                     str(gender[i]),
-                    spec.missing_token if bmi_missing[i] else f"{bmi[i]:.1f}",
-                    *[
-                        spec.missing_token if note_missing[i, k] else notes[i][k]
-                        for k in range(3)
-                    ],
+                    missing_token if bmi_missing[i] else f"{bmi[i]:.1f}",
+                    *[missing_token if note_missing[i, k] else notes[i][k] for k in range(3)],
                     diagnosis[i],
                 ]
             )
@@ -224,26 +206,20 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
         "seed": spec.seed,
         "n_entities": n,
         "n_positive": int(y.sum()),
-        "informative_missingness": spec.informative_missingness,
+        "informative_missingness": informative,
         "mechanism": {
             "age": {"mean_neg": 55.0, "shift_pos": age_shift, "std": 12.0},
             "heart_rate": {"mean_neg": 78.0, "shift_pos": hr_shift, "std": 10.0},
             "resp_rate": {"mean_neg": 16.0, "shift_pos": 0.25 * hr_shift, "std": 3.0},
             "diagnosis": {
                 "p_signal_pos": float(p_signal[y == 1].mean()) if y.any() else 0.0,
-                "p_signal_neg": 0.0
-                if spec.informative_missingness
-                else spec.p_signal_neg,
+                "p_signal_neg": 0.0 if informative else P_SIGNAL_NEG,
             },
             "missingness": {
-                "p_missing_pos": spec.p_missing_pos
-                if spec.informative_missingness
-                else spec.missingness_rate,
-                "p_missing_neg": spec.p_missing_neg
-                if spec.informative_missingness
-                else spec.missingness_rate,
+                "p_missing_pos": P_MISSING_POS if informative else spec.missingness_rate,
+                "p_missing_neg": P_MISSING_NEG if informative else spec.missingness_rate,
                 "columns": ["note_a", "note_b", "note_c"]
-                if spec.informative_missingness
+                if informative
                 else ["bmi", "note_a", "note_b", "note_c"],
             },
         },

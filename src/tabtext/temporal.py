@@ -7,7 +7,7 @@ the ``normalize`` flag.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -15,16 +15,10 @@ from .errors import ValidationError
 from .serializer import CombineMode
 
 
-class TimedEmbedding(NamedTuple):
-    timestamp: float
-    embedding: np.ndarray
-
-
 def aggregate_timed(
     series: Sequence[tuple[float, np.ndarray]], normalize: bool = True
 ) -> np.ndarray:
-    """Aggregate one entity's (timestamp, embedding) pairs, such as
-    :class:`TimedEmbedding`, with timestamp weights.
+    """Aggregate one entity's (timestamp, embedding) pairs with timestamp weights.
 
     All-zero timestamps fall back to the unweighted mean (normalized) or the
     zero vector (unnormalized). Summation order is fixed by sorting on

@@ -24,7 +24,7 @@ from tabtext.pipeline import (
 )
 from tabtext.serializer import MissingPolicy, SerializationConfig, serialize_row
 from tabtext.synthetic import CorpusSpec, generate
-from tabtext.temporal import TimedEmbedding, aggregate_timed
+from tabtext.temporal import aggregate_timed
 
 from test_baseline import naive_summary
 from test_evaluation import pairwise_auroc
@@ -136,7 +136,7 @@ def test_criterion_4_temporal_aggregation_oracle():
             n = int(rng.integers(1, 9))
             dim = int(rng.integers(1, 17))
             series = [
-                TimedEmbedding(float(rng.uniform(0, 100)), rng.normal(size=dim))
+                (float(rng.uniform(0, 100)), rng.normal(size=dim))
                 for _ in range(n)
             ]
             expected = brute_force_weighted_average(series, normalize=True)
@@ -145,18 +145,18 @@ def test_criterion_4_temporal_aggregation_oracle():
             )
         # timestamp-scale invariance
         series = [
-            TimedEmbedding(float(rng.uniform(0.1, 10)), rng.normal(size=8))
+            (float(rng.uniform(0.1, 10)), rng.normal(size=8))
             for _ in range(6)
         ]
         base = aggregate_timed(series, normalize=True)
         for c in (1e-3, 7.0, 1e6):
-            scaled = [TimedEmbedding(s.timestamp * c, s.embedding) for s in series]
+            scaled = [(s[0] * c, s[1]) for s in series]
             np.testing.assert_allclose(
                 aggregate_timed(scaled, normalize=True), base, rtol=1e-12
             )
         # recency dominance at ratio 1e9
         dominant = rng.normal(size=8)
-        series = series + [TimedEmbedding(1e9 * max(s.timestamp for s in series), dominant)]
+        series = series + [(1e9 * max(s[0] for s in series), dominant)]
         np.testing.assert_allclose(
             aggregate_timed(series, normalize=True), dominant, atol=1e-6
         )

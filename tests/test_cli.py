@@ -15,7 +15,8 @@ from tabtext.baseline import FeatureMatrix
 from tabtext.cli import main
 from tabtext.data_model import load_schema, parse_table
 from tabtext.embedding import HashingBackend, embed_text
-from tabtext.pipeline import RunConfig, build_tabtext_features
+from tabtext.errors import ValidationError
+from tabtext.pipeline import RunConfig, build_tabtext_features, load_inputs, load_run_config
 from tabtext.serializer import SerializationConfig, serialize_row
 from tabtext.synthetic import CorpusSpec, generate
 
@@ -654,6 +655,24 @@ def test_negative_seed_is_validation_error(corpus, tmp_path, command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error: seed must be >= 0") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_dim_above_the_ceiling_is_validation_error(corpus, tmp_path):
+    # Checked before any input is parsed, so no dim-sized array is made.
+    config = write_config(corpus, tmp_path / "out", embedding={"dim": 65537})
+    with pytest.raises(ValidationError, match=r"^dim must be in \[1, 65536\], not 65537$"):
+        load_inputs(load_run_config(config), "compare")
+    config = write_config(corpus, tmp_path / "out", embedding={"dim": 65536})
+    load_run_config(config).validate()
+
+
+def test_embed_dim_above_the_ceiling_is_usage_error(tmp_path, capsys):
+    sentences = tmp_path / "s.tsv"
+    sentences.write_text("p1\t1.0\tfine\n")
+    out = tmp_path / "emb.csv"
+    assert main(["embed", "--in", str(sentences), "--out", str(out), "--dim", "65537"]) == 1
+    assert "Invalid value for '--dim'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_labels_file_without_entity_is_validation_error(corpus, tmp_path, capsys):

@@ -86,12 +86,12 @@ class TestParseTable:
     def test_missing_token_preserved(self):
         rows = parse_table("id,age\np2,NaN\n", make_schema())
         cell = rows[0].cells["age"]
-        assert cell.missing and cell.original_token == "NaN"
+        assert cell.missing and cell.raw == "NaN"
 
     def test_default_missing_tokens_case_insensitive(self):
         rows = parse_table("id,age\np1,\np2,na\np3,NULL\np4,nAn\n", make_schema())
         assert all(r.cells["age"].missing for r in rows)
-        assert [r.cells["age"].original_token for r in rows] == ["", "na", "NULL", "nAn"]
+        assert [r.cells["age"].raw for r in rows] == ["", "na", "NULL", "nAn"]
 
     def test_corpus_size_convention(self):
         lines = "id,age\n" + "".join(f"p{i},{i}\n" for i in range(1590))
@@ -196,7 +196,7 @@ class TestCellValue:
 
     def test_absent_keeps_token(self):
         cell = CellValue.absent("NaN")
-        assert cell.missing and cell.original_token == "NaN" and cell.parsed is None
+        assert cell.missing and cell.raw == "NaN" and cell.parsed is None
 
 
 def test_load_schema_yaml(tmp_path):
@@ -221,5 +221,5 @@ columns:
     schema = load_schema(path)
     assert schema.meta.table_title == "Vitals"
     assert schema.time_column == "hour"
-    assert schema.column("heart_rate").unit == "bpm"
+    assert next(c for c in schema.columns if c.name == "heart_rate").unit == "bpm"
     assert [c.name for c in schema.value_columns] == ["heart_rate"]

@@ -33,30 +33,47 @@ def pairwise_auroc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def split_ids(entities, spec, labels=None):
+    """``split`` as the two lists of entities at its train and test indices."""
+    train, test = split(len(entities), spec, labels)
+    return [entities[i] for i in train], [entities[i] for i in test]
+
+
 class TestSplit:
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_indices_are_ascending_disjoint_and_cover_every_row(self, stratified):
+        n = 37
+        labels = [int(i % 3 == 0) for i in range(n)]
+        for seed in range(5):
+            train, test = split(n, SplitSpec(seed=seed, stratified=stratified), labels)
+            assert len(train) == round(0.8 * n)
+            for part in (train, test):
+                assert part.dtype.kind == "i" and np.all(np.diff(part) > 0)
+            assert sorted([*train.tolist(), *test.tolist()]) == list(range(n))
+
     def test_sizes(self):
         entities = [f"e{i}" for i in range(10)]
         labels = [0] * 8 + [1] * 2
-        train, test = split(entities, SplitSpec(seed=1), labels)
+        train, test = split_ids(entities, SplitSpec(seed=1), labels)
         assert len(train) == 8 and len(test) == 2
 
     def test_same_seed_identical(self):
         entities = [f"e{i}" for i in range(40)]
         labels = [i % 2 for i in range(40)]
         spec = SplitSpec(seed=99)
-        assert split(entities, spec, labels) == split(entities, spec, labels)
+        assert split_ids(entities, spec, labels) == split_ids(entities, spec, labels)
 
     def test_different_seed_differs(self):
         entities = [f"e{i}" for i in range(40)]
         labels = [i % 2 for i in range(40)]
-        a = split(entities, SplitSpec(seed=1), labels)
-        b = split(entities, SplitSpec(seed=2), labels)
+        a = split_ids(entities, SplitSpec(seed=1), labels)
+        b = split_ids(entities, SplitSpec(seed=2), labels)
         assert a != b
 
     def test_partition_property(self):
         entities = [f"e{i}" for i in range(33)]
         labels = [i % 2 for i in range(33)]
-        train, test = split(entities, SplitSpec(seed=3), labels)
+        train, test = split_ids(entities, SplitSpec(seed=3), labels)
         assert sorted(train + test) == sorted(entities)
         assert not set(train) & set(test)
 
@@ -66,18 +83,18 @@ class TestSplit:
         entities = [f"e{i}" for i in range(n)]
         labels = [1] * n_pos + [0] * (n - n_pos)
         for seed in range(5):
-            train, test = split(entities, SplitSpec(seed=seed), labels)
+            train, test = split_ids(entities, SplitSpec(seed=seed), labels)
             assert len(train) == round(0.8 * n)
             test_pos = sum(1 for e in test if int(e[1:]) < n_pos)
             assert test_pos in (24, 25)
 
     def test_single_class_stratified_error(self):
         with pytest.raises(ValidationError):
-            split(["a", "b", "c"], SplitSpec(), [1, 1, 1])
+            split_ids(["a", "b", "c"], SplitSpec(), [1, 1, 1])
 
     def test_unstratified_mode(self):
         entities = [f"e{i}" for i in range(10)]
-        train, test = split(entities, SplitSpec(seed=0, stratified=False))
+        train, test = split_ids(entities, SplitSpec(seed=0, stratified=False))
         assert len(train) == 8 and len(test) == 2
 
     def test_bad_fraction(self):
@@ -225,6 +242,28 @@ class TestEvaluateFeatures:
         )
         with pytest.raises(ValidationError, match=f"^{message}$"):
             evaluate_features(make_matrix(X, y), spec)
+
+    @pytest.mark.parametrize(
+        "stratified, expected",
+        [
+            (True, (0.7638888888888888, 0.05892556509887899, "3c7cd9fadc1f2a02")),
+            (False, (0.7294642857142857, 0.05934646199244241, "5d33d09c407acf5a")),
+        ],
+    )
+    def test_scores_and_split_hash_are_pinned(self, stratified, expected):
+        # Recorded when split returned entity lists: the hash sorts the test
+        # ids, which here are not in row order.
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(60, 5))
+        y = (X[:, 0] + 2 * rng.normal(size=60) > 0.5).astype(int)
+        features = FeatureMatrix(
+            entity_ids=[f"e{(7 * i) % 60:02d}" for i in range(60)],
+            feature_names=[f"f{j}" for j in range(5)],
+            values=X,
+            labels=y,
+        )
+        spec = SplitSpec(seed=3, stratified=stratified, repeats=2)
+        assert evaluate_features(features, spec) == expected
 
 
 def reference_fit(X, y, steps=500, lr=0.1, l2=1e-4):

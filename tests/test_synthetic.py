@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -75,12 +76,40 @@ class TestGenerate:
         )
         demo, _ = load_corpus_sources(tmp_path)
         tokens = {
-            c.original_token
+            c.raw
             for row in demo[2]
             for c in row.cells.values()
             if c.missing
         }
         assert tokens == {""}
+
+    @pytest.mark.parametrize(
+        "informative, digests",
+        [
+            (False, {
+                "demographics.csv": "68636f9e803739ea4696fb0854a273ec16b2fbdbd6c308a899768261c9e5a851",
+                "vitals.csv": "96561633b0a16013fe64d9de6e2a52c754b161e4e4f203921404c0807949aba1",
+                "ground_truth.json": "8658a869a638726430d05c6b8669d2ae8572d83831b121e74deb814549c72ba1",
+            }),
+            (True, {
+                "demographics.csv": "5b3e67ae2dcd8e01bb390c142fd96044026cf6deb7a9a9986fa9755a7ed2c7b8",
+                "vitals.csv": "873031123d9139c31f5760947c266912f56728b1f321002817230613a4892477",
+                "ground_truth.json": "9c2696504dd947721a3b815a1d2b96f79ab91cdae8dd41cc2c07b4c990f244d4",
+            }),
+        ],
+    )
+    def test_corpus_bytes_are_pinned(self, tmp_path, informative, digests):
+        # The same in both modes: the schemas are constants and the labels
+        # are drawn before any mode-dependent draw.
+        digests = {
+            **digests,
+            "demographics.schema.yaml": "49092676ec1eef908d557bcc596208224e8fbba032dd668e1504511cbdfecdcd",
+            "vitals.schema.yaml": "c65b0ae4b6d5f89c033155498ca8f264f3b10c4b7a4ddc78fbd7052884eeb5cd",
+            "labels.csv": "43c2f7e7d61a0c485e1b05c5ed4e6ab1f1306fa30200bcf74e13dd07205b6345",
+        }
+        generate(CorpusSpec(seed=3, n_entities=200, informative_missingness=informative), tmp_path)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FILES}
+        assert got == digests
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):

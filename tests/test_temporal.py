@@ -5,22 +5,23 @@ import pytest
 
 from tabtext.errors import ValidationError
 from tabtext.serializer import CombineMode
-from tabtext.temporal import TimedEmbedding, aggregate_entity, aggregate_timed
+from tabtext.temporal import aggregate_entity, aggregate_timed
 
 
 def brute_force_weighted_average(series, normalize):
-    """Independent oracle: naive loops over Σ w_i e_i (/ Σ w_i)."""
-    dim = len(series[0].embedding)
+    """Independent oracle: naive loops over Σ w_i e_i (/ Σ w_i) for
+    (timestamp, embedding) pairs ``series``."""
+    dim = len(series[0][1])
     total = 0.0
     acc = [0.0] * dim
     for item in series:
-        total += item.timestamp
+        total += item[0]
         for j in range(dim):
-            acc[j] += item.timestamp * float(item.embedding[j])
+            acc[j] += item[0] * float(item[1][j])
     if normalize:
         if total == 0.0:
             return [
-                sum(float(it.embedding[j]) for it in series) / len(series)
+                sum(float(it[1][j]) for it in series) / len(series)
                 for j in range(dim)
             ]
         return [a / total for a in acc]
@@ -28,7 +29,7 @@ def brute_force_weighted_average(series, normalize):
 
 
 def series_of(pairs):
-    return [TimedEmbedding(t, np.asarray(e, dtype=np.float64)) for t, e in pairs]
+    return [(t, np.asarray(e, dtype=np.float64)) for t, e in pairs]
 
 
 class TestAggregateTimed:
@@ -113,7 +114,7 @@ class TestInvariants:
         )
         base = aggregate_timed(series, normalize=True)
         for c in (1e-3, 7.0, 1e6):
-            scaled = series_of([(it.timestamp * c, it.embedding) for it in series])
+            scaled = series_of([(it[0] * c, it[1]) for it in series])
             np.testing.assert_allclose(
                 aggregate_timed(scaled, normalize=True), base, rtol=1e-12
             )
@@ -124,7 +125,7 @@ class TestInvariants:
             [(float(rng.uniform(0, 5)), rng.normal(size=6)) for _ in range(5)]
         )
         out = aggregate_timed(series, normalize=True)
-        stacked = np.stack([it.embedding for it in series])
+        stacked = np.stack([it[1] for it in series])
         assert np.all(out >= stacked.min(axis=0) - 1e-12)
         assert np.all(out <= stacked.max(axis=0) + 1e-12)
 
