@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-corpus | serialize | embed | aggregate | baseline | eval |
-ablate | compare. Exit codes: 0 success, 1 validation error, 2 stage failure,
-3 backend failure. Stage logs go to standard error.
+ablate | compare. Exit codes: 0 success, 1 validation error (a bad option,
+config value or input file) or an output that cannot be written, 2 stage
+failure, 3 backend failure. Stage logs go to standard error.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, MAX_DIM, embed_text, make
 from .errors import BackendError, TabTextError, ValidationError, stage
 from .evaluation import SplitSpec, evaluate_features
 from .formats import read_embeddings, read_sentences, write_embeddings, write_sentences
-from .pipeline import load_inputs, load_run_config, load_table, run_compare, run_grid
+from .pipeline import load_inputs, load_run_config, parse_table, run_compare, run_grid
 from .serializer import (
     CombineMode,
     MissingPolicy,
@@ -70,14 +71,14 @@ def gen_corpus(out_dir, seed, n_entities, positive_rate, missingness_rate, infor
 
 
 @cli.command()
-@click.option("--data", type=click.Path(exists=True), required=True)
-@click.option("--schema", type=click.Path(exists=True), required=True)
+@click.option("--data", type=click.Path(), required=True)
+@click.option("--schema", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_ser_options
 def serialize(data, schema, out_path, **axes):
     """Serialize a table to a sentence TSV, one line per row."""
     table_schema = load_schema(schema)
-    rows = load_table(data, table_schema)
+    rows = parse_table(data, table_schema)
     config = from_dict(SerializationConfig, _given(axes), "serialization")
     write_sentences(
         out_path,
@@ -87,7 +88,7 @@ def serialize(data, schema, out_path, **axes):
 
 
 @cli.command()
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
+@click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--backend", default="hashing")
 @click.option("--dim", type=click.IntRange(1, MAX_DIM), default=DEFAULT_DIM)
@@ -96,14 +97,14 @@ def serialize(data, schema, out_path, **axes):
 @click.option("--url", default=None)
 def embed(in_path, out_path, backend, dim, max_chars, cache, url):
     """Embed a sentence file into a per-row embedding CSV."""
-    be = make_backend(backend, dim=dim, max_chars=max_chars, url=url, cache_dir=cache)
     records = read_sentences(in_path)
+    be = make_backend(backend, dim=dim, max_chars=max_chars, url=url, cache_dir=cache)
     write_embeddings(out_path, be.dim, ((e, t, embed_text(s, be)) for e, t, s in records))
     click.echo(f"wrote {len(records)} embeddings to {out_path}")
 
 
 @cli.command()
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
+@click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--normalize/--no-normalize", default=True)
 def aggregate(in_path, out_path, normalize):
@@ -118,7 +119,7 @@ def aggregate(in_path, out_path, normalize):
 
 
 @cli.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
+@click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def baseline(config_path, out_path):
     """Build the traditional feature matrix for all configured sources."""
@@ -133,7 +134,7 @@ def baseline(config_path, out_path):
 
 
 @cli.command("eval")
-@click.option("--features", "features_path", type=click.Path(exists=True), required=True)
+@click.option("--features", "features_path", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--train-fraction", type=float, default=None)
 @click.option("--stratified/--no-stratified", default=None)
@@ -146,7 +147,7 @@ def eval_cmd(features_path, **split):
 
 
 @cli.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
+@click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--train-fraction", type=float, default=None)
 @click.option("--backend", default=None)
@@ -159,7 +160,7 @@ def ablate(config_path, seed, train_fraction, backend, grid_extended):
 
 
 @cli.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
+@click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--repeats", type=int, default=None)
 def compare(config_path, seed, repeats):
@@ -191,6 +192,11 @@ def main(argv=None) -> int:
     except TabTextError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # An output that cannot be written: a fault in reading an input is
+        # already a ValidationError.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,23 +1,19 @@
 """Schemas, cell values, and rows shared by every other module.
 
 A table is described by a declarative :class:`TableSchema` (usually loaded from
-a YAML sidecar file) and parsed from comma-separated text into typed
-:class:`Row` records. Missing values keep their original token verbatim so the
+a YAML sidecar file) and parsed from a CSV file into typed :class:`Row`
+records. Missing values keep their original token verbatim so the
 "keep original" serialization policy can reproduce them exactly.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
-import yaml
-
-from .errors import RowParseError, SchemaError, SchemaMismatchError, ValidationError
+from .errors import ValidationError
+from .formats import PathLike, _invalid, read_csv, read_yaml
 
 MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 
@@ -44,14 +40,14 @@ class ColumnSpec:
 
     def __post_init__(self):
         if not self.name:
-            raise SchemaError("column name must be non-empty")
+            raise ValidationError("column name must be non-empty")
         if self.label is None:
             object.__setattr__(self, "label", self.name)
         if "." in (self.label or "")[-1:]:
-            raise SchemaError(f"label for '{self.name}' must not end with a period")
+            raise ValidationError(f"label for '{self.name}' must not end with a period")
         if self.descriptive_template is not None:
             if self.descriptive_template.count(PLACEHOLDER) != 1:
-                raise SchemaError(
+                raise ValidationError(
                     f"descriptive_template for '{self.name}' must contain exactly "
                     f"one '{PLACEHOLDER}' placeholder"
                 )
@@ -76,14 +72,14 @@ class TableSchema:
         object.__setattr__(self, "columns", tuple(self.columns))
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
-            raise SchemaError("column names must be unique")
+            raise ValidationError("column names must be unique")
         if self.entity_column not in names:
-            raise SchemaError(f"entity_column '{self.entity_column}' is not a declared column")
+            raise ValidationError(f"entity_column '{self.entity_column}' is not a declared column")
         if self.time_column is not None and self.time_column not in names:
-            raise SchemaError(f"time_column '{self.time_column}' is not a declared column")
+            raise ValidationError(f"time_column '{self.time_column}' is not a declared column")
         n_ts = sum(1 for c in self.columns if c.kind is ColumnKind.TIMESTAMP)
         if n_ts > 1:
-            raise SchemaError("at most one column may have kind 'timestamp'")
+            raise ValidationError("at most one column may have kind 'timestamp'")
         skip = {self.entity_column, self.time_column}
         object.__setattr__(
             self, "value_columns", tuple(c for c in self.columns if c.name not in skip)
@@ -167,13 +163,14 @@ _META_KEYS = {"table_title": "", "description": ""}
 _COLUMN_KEYS = dict.fromkeys(("name", "kind", "label", "descriptive_template", "unit"))
 
 
-def load_schema(path: Union[str, Path]) -> TableSchema:
-    """Load a YAML schema sidecar file; any fault in it is a SchemaError
+def load_schema(path: PathLike) -> TableSchema:
+    """Load a YAML schema sidecar file; any fault in it is a ValidationError
     naming the file."""
+    doc = read_yaml(path)
     try:
-        return schema_from_dict(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
-    except (yaml.YAMLError, UnicodeDecodeError, ValidationError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        return schema_from_dict(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def schema_from_dict(doc: object) -> TableSchema:
@@ -193,57 +190,30 @@ def schema_from_dict(doc: object) -> TableSchema:
             time_column=doc.get("time_column"),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed schema document: {exc}") from exc
+        raise ValidationError(f"malformed schema document: {exc}") from exc
 
 
-def _records(reader) -> Iterator[list[str]]:
-    """The records of ``reader``; one that csv cannot read is a RowParseError."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise RowParseError(str(exc), reader.line_num) from None
+def parse_table(path: PathLike, schema: TableSchema) -> list[Row]:
+    """Parse the CSV file at ``path``, read by :func:`~tabtext.formats.read_csv`,
+    into typed rows.
 
-
-def parse_table(data: Union[bytes, str, IO[str]], schema: TableSchema) -> list[Row]:
-    """Parse comma-separated text with a header row into typed rows.
-
-    Each record has one field per (distinct) header name. Fields whose
-    lowercased value is in ``MISSING_TOKENS`` become missing cells that keep
-    the original token. Numeric parsing is attempted for every field;
-    ``parsed`` is set only when the value is a finite number.
+    The header names each schema column once. Fields whose lowercased value
+    is in ``MISSING_TOKENS`` become missing cells that keep the original
+    token. Numeric parsing is attempted for every field; ``parsed`` is set
+    only when the value is a finite number.
     """
-    if isinstance(data, bytes):
-        try:
-            handle: IO[str] = io.StringIO(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"not UTF-8 text ({exc.reason})") from None
-    elif isinstance(data, str):
-        handle = io.StringIO(data)
-    else:
-        handle = data
-
-    reader = csv.reader(handle)
-    records = _records(reader)
-    try:
-        header = next(records)
-    except StopIteration:
-        raise SchemaMismatchError("input has no header row") from None
-
+    records = read_csv(path, 1)
+    _, header = next(records)
     if len(set(header)) < len(header):
-        raise SchemaMismatchError(f"header repeats a column name: {header}")
+        raise _invalid(path, 1, f"header repeats a column name: {header}")
     positions: dict[str, int] = {}
     for col in schema.columns:
         if col.name not in header:
-            raise SchemaMismatchError(f"header is missing schema column '{col.name}'")
+            raise _invalid(path, 1, f"header is missing schema column '{col.name}'")
         positions[col.name] = header.index(col.name)
 
-    width = len(header)
     rows: list[Row] = []
-    for record in records:
-        if len(record) != width:
-            if not record:
-                continue
-            raise RowParseError(f"{len(record)} fields, header has {width}", reader.line_num)
+    for line, record in records:
         cells: dict[str, CellValue] = {}
         for col in schema.columns:
             raw = record[positions[col.name]]
@@ -258,10 +228,11 @@ def parse_table(data: Union[bytes, str, IO[str]], schema: TableSchema) -> list[R
             tcell = cells[schema.time_column]
             timestamp = tcell.parsed
             if timestamp is None or timestamp < 0:
-                raise RowParseError(
+                raise _invalid(
+                    path,
+                    line,
                     f"{'unparseable' if timestamp is None else 'negative'} timestamp "
                     f"{tcell.raw!r} in column '{schema.time_column}'",
-                    reader.line_num,
                 )
         rows.append(Row(entity_id=entity_id, cells=cells, timestamp=timestamp))
     return rows

@@ -15,23 +15,8 @@ class TabTextError(Exception):
 
 
 class ValidationError(TabTextError):
-    """Bad configuration or inputs detected before any work starts."""
-
-
-class SchemaError(ValidationError):
-    """A schema document is internally inconsistent."""
-
-
-class SchemaMismatchError(ValidationError):
-    """Input data does not match the declared schema."""
-
-
-class RowParseError(ValidationError):
-    """A single data row could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    """A bad input: an option, a config value, or a file that cannot be read
+    or breaks a rule of its format."""
 
 
 class BackendError(TabTextError):

@@ -1,9 +1,10 @@
-"""The files that pass between stages, written and read in one place: the
-sentence TSV (serialize -> embed), the embedding CSV (embed -> aggregate),
-the feature CSV (aggregate, baseline, compare -> eval) and the labels file.
-Each of these CSVs is read through :func:`read_csv`; a bad line is a
-ValidationError naming the file and the line, and so is a file that is not
-UTF-8 text, naming the file.
+"""Every input file is opened here: the data tables and the labels file,
+the YAML schemas and run configs, and the files that pass between stages,
+the sentence TSV (serialize -> embed), the embedding CSV (embed -> aggregate)
+and the feature CSV (aggregate, baseline, compare -> eval). Each CSV is read
+through :func:`read_csv`; a bad line is a ValidationError naming the file and
+the line, and a file that is missing, is not a file or is not UTF-8 text is a
+ValidationError naming the file.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
+import yaml
 
 from .errors import ValidationError
 
@@ -34,11 +36,25 @@ def _invalid(path: PathLike, line: int, message: str) -> ValidationError:
 
 
 @contextmanager
-def _utf8(path: PathLike) -> Iterator[None]:
+def _reading(path: PathLike) -> Iterator[None]:
+    """Turn a failure to open or decode the file at ``path`` into a
+    ValidationError naming it."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_yaml(path: PathLike) -> object:
+    """The YAML document in the file at ``path``."""
+    with _reading(path):
+        text = Path(path).read_text(encoding="utf-8")
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _floats(path: PathLike, line: int, texts: Sequence[str]) -> np.ndarray:
@@ -71,7 +87,7 @@ def write_sentences(path: PathLike, records: Iterable[tuple[str, Optional[float]
 
 def read_sentences(path: PathLike) -> list[tuple[str, str, str]]:
     """(entity, timestamp text or "", sentence) per line of a sentence TSV."""
-    with _utf8(path):
+    with _reading(path):
         text = Path(path).read_text(encoding="utf-8")
     # Split on line feeds only: other Unicode line breaks may sit in a sentence.
     lines = text.split("\n")
@@ -137,7 +153,7 @@ def read_csv(path: PathLike, min_width: int) -> Iterator[tuple[int, list[str]]]:
     non-blank record. The header needs ``min_width`` fields and each record
     as many as the header; ``line`` is the ``csv.reader`` line number. A
     record that csv cannot read is a ValidationError naming the line."""
-    with _utf8(path), open(path, encoding="utf-8", newline="") as handle:
+    with _reading(path), open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
@@ -196,7 +212,7 @@ def read_features(path: PathLike) -> tuple[list, list, np.ndarray, Optional[np.n
     start = 2 if header[1:2] == ["label"] else 1
     # csv.reader reads lines ended by \n, \r\n or \r, and each record takes
     # one or more of them: so the matrix is filled in place, not stacked.
-    with open(path, "rb") as handle:
+    with _reading(path), open(path, "rb") as handle:
         lines = sum(1 + line.count(b"\r") - line.endswith(b"\r\n") for line in handle)
     capacity = lines - 1
     values = np.empty((capacity, len(header) - start), dtype=np.float64)

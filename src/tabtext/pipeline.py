@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import yaml
 
 from .baseline import FeatureMatrix, build_baseline_features
 from .data_model import Row, TableSchema, from_dict, group_rows, load_schema, parse_table
@@ -35,7 +34,7 @@ from .evaluation import (
     grid_points,
     run_ablation,
 )
-from .formats import load_labels
+from .formats import load_labels, read_yaml
 from .serializer import CombineMode, SerializationConfig, serialize_row
 from .temporal import aggregate_entity
 
@@ -79,12 +78,6 @@ class RunConfig:
         for name in names:
             if names.count(name) > 1:
                 raise ValidationError(f"source name {name!r} is repeated in 'sources'")
-        for source in self.sources:
-            for path in (source.data, source.schema):
-                if not path.exists():
-                    raise ValidationError(f"path does not exist: {path}")
-        if self.labels is not None and not self.labels.exists():
-            raise ValidationError(f"labels file does not exist: {self.labels}")
         if not 1 <= self.dim <= MAX_DIM:
             raise ValidationError(f"dim must be in [1, {MAX_DIM}], not {self.dim}")
         if self.max_chars < 1:
@@ -134,10 +127,7 @@ def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
     an ``overrides`` value that is not None replaces the file's key of its name.
     :func:`load_inputs` checks the values, before any stage runs."""
     path = Path(path)
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    except (OSError, yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    doc = read_yaml(path) or {}
     known = RunConfig([], None, SerializationConfig()).sections()
     doc = read_section(doc, known, str(path))
     sections = {n: read_section(doc[n], known[n], n) for n in ("evaluation", *FLAT_SECTIONS)}
@@ -169,15 +159,6 @@ def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
     )
 
 
-def load_table(data: Union[str, Path], schema: TableSchema) -> list[Row]:
-    """Parse the data table at ``data``; a malformed file is a ValidationError
-    that names it."""
-    try:
-        return parse_table(Path(data).read_bytes(), schema)
-    except ValidationError as exc:
-        raise ValidationError(f"{data}: {exc}") from None
-
-
 def load_inputs(
     config: RunConfig, command: str
 ) -> tuple[list[tuple[str, TableSchema, list[Row]]], list[str], dict[str, int]]:
@@ -191,7 +172,7 @@ def load_inputs(
         sources = []
         for source in config.sources:
             schema = load_schema(source.schema)
-            sources.append((source.name, schema, load_table(source.data, schema)))
+            sources.append((source.name, schema, parse_table(source.data, schema)))
         entity_ids, labels = load_labels(config.labels)
     return sources, entity_ids, labels
 

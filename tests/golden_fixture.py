@@ -51,8 +51,11 @@ p10,null,null,null,null
 """
 
 
-def golden_rows():
-    return parse_table(GOLDEN_CSV, GOLDEN_SCHEMA)
+def golden_rows(directory):
+    """The rows of GOLDEN_CSV, written to a file in ``directory``."""
+    path = directory / "golden.csv"
+    path.write_bytes(GOLDEN_CSV.encode("utf-8"))
+    return parse_table(path, GOLDEN_SCHEMA)
 
 
 def golden_configs():

@@ -49,17 +49,17 @@ def corpus_sources(corpus: Path):
     out = []
     for name in ("demographics", "vitals"):
         schema = load_schema(corpus / f"{name}.schema.yaml")
-        rows = parse_table((corpus / f"{name}.csv").read_bytes(), schema)
+        rows = parse_table(corpus / f"{name}.csv", schema)
         out.append((name, schema, rows))
     return out
 
 
-def test_criterion_1_serialization_goldens():
+def test_criterion_1_serialization_goldens(tmp_path):
     with criterion(1, "16-point serialization grid is byte-exact on the golden fixture", 1.0):
         golden = json.loads(
             (Path(__file__).parent / "data" / "golden_sentences.json").read_text()
         )
-        rows = golden_rows()
+        rows = golden_rows(tmp_path)
         assert len(rows) == 10
         for key, config in golden_configs():
             produced = [serialize_row(GOLDEN_SCHEMA, row, config) for row in rows]

@@ -16,7 +16,6 @@ from tabtext.data_model import (
     ColumnSpec,
     TableMeta,
     TableSchema,
-    parse_table,
 )
 from tabtext.errors import ValidationError
 from tabtext.formats import _BLOCK_ROWS
@@ -142,15 +141,16 @@ SERIES_SCHEMA = TableSchema(
 )
 
 
-def fixture_sources():
-    static_rows = parse_table(
+@pytest.fixture
+def sources(parse_text):
+    static_rows = parse_text(
         "id,age,height,weight,color,note\n"
         "p1,50,170,70,red,hello\n"
         "p2,NaN,180,80,blue,world\n"
         "p3,61,175,NaN,red,\n",
         STATIC_SCHEMA,
     )
-    series_rows = parse_table(
+    series_rows = parse_text(
         "id,t,hr\np1,1,60\np1,2,62\np2,1,70\n",
         SERIES_SCHEMA,
     )
@@ -161,48 +161,47 @@ def fixture_sources():
 
 
 class TestBuildBaselineFeatures:
-    def test_feature_accounting(self):
+    def test_feature_accounting(self, sources):
         # 3 numeric + categorical capped at 2 -> 3 columns, series -> 6 stats
         matrix = build_baseline_features(
-            fixture_sources(), ["p1", "p2", "p3"], max_categories=2
+            sources, ["p1", "p2", "p3"], max_categories=2
         )
         assert len(matrix.feature_names) == 3 + 3 + 6
 
-    def test_missing_numeric_imputed_zero(self):
-        matrix = build_baseline_features(fixture_sources(), ["p1", "p2", "p3"])
+    def test_missing_numeric_imputed_zero(self, sources):
+        matrix = build_baseline_features(sources, ["p1", "p2", "p3"])
         age = matrix.values[:, matrix.feature_names.index("demo.age")]
         np.testing.assert_array_equal(age, [50.0, 0.0, 61.0])
 
-    def test_series_expands_to_six_stats(self):
-        matrix = build_baseline_features(fixture_sources(), ["p1", "p2", "p3"])
+    def test_series_expands_to_six_stats(self, sources):
+        matrix = build_baseline_features(sources, ["p1", "p2", "p3"])
         hr_names = [n for n in matrix.feature_names if n.startswith("vitals.hr.")]
         assert hr_names == [f"vitals.hr.{s}" for s in SERIES_STATS]
         mean = matrix.values[:, matrix.feature_names.index("vitals.hr.mean")]
         np.testing.assert_allclose(mean, [61.0, 70.0, 0.0])
 
-    def test_free_text_dropped(self):
-        matrix = build_baseline_features(fixture_sources(), ["p1", "p2", "p3"])
+    def test_free_text_dropped(self, sources):
+        matrix = build_baseline_features(sources, ["p1", "p2", "p3"])
         assert not any("note" in n for n in matrix.feature_names)
 
-    def test_all_values_finite(self):
-        matrix = build_baseline_features(fixture_sources(), ["p1", "p2", "p3"])
+    def test_all_values_finite(self, sources):
+        matrix = build_baseline_features(sources, ["p1", "p2", "p3"])
         assert np.all(np.isfinite(matrix.values))
 
-    def test_unknown_series_entity_is_error(self):
-        sources = fixture_sources()
+    def test_unknown_series_entity_is_error(self, sources):
         with pytest.raises(ValidationError, match="p2"):
             build_baseline_features(sources, ["p1", "p3"])
 
-    def test_duplicate_static_row_is_error(self):
-        rows = parse_table(
+    def test_duplicate_static_row_is_error(self, parse_text):
+        rows = parse_text(
             "id,age,height,weight,color,note\np1,1,2,3,a,x\np1,4,5,6,b,y\n",
             STATIC_SCHEMA,
         )
         with pytest.raises(ValidationError, match="multiple rows"):
             build_baseline_features([("demo", STATIC_SCHEMA, rows)], ["p1"])
 
-    def test_entity_absent_from_static_source_gets_zeros(self):
-        matrix = build_baseline_features(fixture_sources(), ["p1", "p2", "p3", "p4"])
+    def test_entity_absent_from_static_source_gets_zeros(self, sources):
+        matrix = build_baseline_features(sources, ["p1", "p2", "p3", "p4"])
         idx = matrix.entity_ids.index("p4")
         np.testing.assert_array_equal(matrix.values[idx], 0.0)
 
@@ -220,42 +219,43 @@ WARD_SCHEMA = TableSchema(
 )
 
 
-def ward_features(csv_rows, entity_ids):
-    rows = parse_table("id,t,ward,icu\n" + csv_rows, WARD_SCHEMA)
+def ward_features(parse_text, csv_rows, entity_ids):
+    rows = parse_text("id,t,ward,icu\n" + csv_rows, WARD_SCHEMA)
     return build_baseline_features([("stays", WARD_SCHEMA, rows)], entity_ids)
 
 
 class TestCategoricalSeriesAndUniverse:
     """Paths the synthetic corpus never runs: its time series are numeric."""
 
-    def test_categorical_series_column_encodes_latest_row(self):
-        matrix = ward_features("p1,2,B,1\np1,5,A,0\np1,3,C,1\np2,1,C,1\n", ["p1", "p2"])
+    def test_categorical_series_column_encodes_latest_row(self, parse_text):
+        rows = "p1,2,B,1\np1,5,A,0\np1,3,C,1\np2,1,C,1\n"
+        matrix = ward_features(parse_text, rows, ["p1", "p2"])
         assert matrix.feature_names == [
             "stays.ward.A", "stays.ward.C", "stays.ward.other",
             "stays.icu.0", "stays.icu.1", "stays.icu.other",
         ]
         np.testing.assert_array_equal(matrix.values, [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]])
 
-    def test_tied_latest_timestamps_take_the_first_row(self):
-        matrix = ward_features("p1,4,B,1\np1,4,A,0\np1,1,C,0\n", ["p1"])
+    def test_tied_latest_timestamps_take_the_first_row(self, parse_text):
+        matrix = ward_features(parse_text, "p1,4,B,1\np1,4,A,0\np1,1,C,0\n", ["p1"])
         assert matrix.feature_names[:2] == ["stays.ward.B", "stays.ward.other"]
         np.testing.assert_array_equal(matrix.values, [[1, 0, 1, 0]])
 
-    def test_entity_without_series_rows_gets_zeros(self):
-        matrix = ward_features("p1,2,B,1\n", ["p1", "p2"])
+    def test_entity_without_series_rows_gets_zeros(self, parse_text):
+        matrix = ward_features(parse_text, "p1,2,B,1\n", ["p1", "p2"])
         np.testing.assert_array_equal(matrix.values[1], 0.0)
         assert matrix.values[0].sum() == 2
 
-    def test_static_row_outside_universe_is_ignored(self):
+    def test_static_row_outside_universe_is_ignored(self, sources):
         # p3 (red) is not in the universe, so red and blue tie at one row each
-        matrix = build_baseline_features(fixture_sources(), ["p1", "p2"], max_categories=1)
+        matrix = build_baseline_features(sources, ["p1", "p2"], max_categories=1)
         assert matrix.entity_ids == ["p1", "p2"]
         assert "demo.color.blue" in matrix.feature_names
         age = matrix.values[:, matrix.feature_names.index("demo.age")]
         np.testing.assert_array_equal(age, [50.0, 0.0])
 
-    def test_static_negative_zero_keeps_its_sign(self):
-        rows = parse_table("id,age,height,weight,color,note\np1,-0,-0.0,0,a,x\n", STATIC_SCHEMA)
+    def test_static_negative_zero_keeps_its_sign(self, parse_text):
+        rows = parse_text("id,age,height,weight,color,note\np1,-0,-0.0,0,a,x\n", STATIC_SCHEMA)
         matrix = build_baseline_features([("demo", STATIC_SCHEMA, rows)], ["p1"])
         np.testing.assert_array_equal(np.signbit(matrix.values[0, :3]), [True, True, False])
 

@@ -349,7 +349,7 @@ def test_serialize_embed_keeps_tabs_and_line_breaks(tmp_path):
     assert main(["embed", "--in", str(sentences), "--out", str(embeddings), "--dim", "32"]) == 0
 
     schema = load_schema(schema_path)
-    rows = parse_table(data.read_bytes(), schema)
+    rows = parse_table(data, schema)
     with open(embeddings, encoding="utf-8", newline="") as handle:
         records = list(csv.reader(handle))[1:]
     assert [r[0] for r in records] == [row.entity_id for row in rows] == ["p1", "p,2", "p3"]
@@ -487,7 +487,7 @@ def test_cli_stages_match_in_process_features(records):
         staged = FeatureMatrix.from_csv(tmp / "f.csv")
 
         schema = load_schema(schema_path)
-        rows = parse_table(data.read_bytes(), schema)
+        rows = parse_table(data, schema)
         universe = list(dict.fromkeys(row.entity_id for row in rows))
         expected = build_tabtext_features(
             [("notes", schema, rows)], universe, None, SerializationConfig(),
@@ -729,7 +729,7 @@ def test_short_data_record_is_validation_error_naming_the_file(corpus, tmp_path,
     assert main(["compare", "--config", str(config)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2
-    assert all(line.startswith(f"validation error: {data}: line 3:") for line in lines)
+    assert all(line.startswith(f"validation error: {data} line 3:") for line in lines)
 
 
 def test_negative_timestamp_is_validation_error_naming_the_file(corpus, tmp_path, capsys):
@@ -744,7 +744,7 @@ def test_negative_timestamp_is_validation_error_naming_the_file(corpus, tmp_path
     )
     assert main(["compare", "--config", str(config)]) == 1
     assert main(["baseline", "--config", str(config)]) == 1
-    message = f"validation error: {data}: line 3: negative timestamp '-5' in column 't'"
+    message = f"validation error: {data} line 3: negative timestamp '-5' in column 't'"
     assert capsys.readouterr().err.splitlines() == [message] * 3
 
 
@@ -922,3 +922,63 @@ def test_bad_schema_file_is_validation_error_naming_the_file(tmp_path, case, cap
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {schema}: ") and key in err
     assert not (tmp_path / "s.tsv").exists()
+
+
+def command_reading(kind: str, path: Path, corpus: Path, tmp_path: Path) -> list[str]:
+    """A command line that reads ``path`` as an input file of ``kind``; every
+    output, the embedding cache too, goes to tmp_path / "o"."""
+    out = str(tmp_path / "o")
+    data, schema = str(corpus / "vitals.csv"), str(corpus / "vitals.schema.yaml")
+    if kind in ("data", "schema", "labels"):
+        source = {"data": data, "schema": schema}
+        overrides = {"labels": str(path)} if kind == "labels" else {
+            "sources": [{**source, kind: str(path)}]}
+        return ["compare", "--config", str(write_config(corpus, tmp_path / "o", **overrides))]
+    return {
+        "serialize --data": ["serialize", "--data", str(path), "--schema", schema, "--out", out],
+        "serialize --schema": ["serialize", "--data", data, "--schema", str(path), "--out", out],
+        "config": ["compare", "--config", str(path)],
+        "sentence TSV": ["embed", "--in", str(path), "--out", out, "--cache", out],
+        "embedding CSV": ["aggregate", "--in", str(path), "--out", out],
+        "feature CSV": ["eval", "--features", str(path)],
+    }[kind]
+
+
+INPUT_KINDS = ["data", "schema", "labels", "serialize --data", "serialize --schema", "config",
+               "sentence TSV", "embedding CSV", "feature CSV"]
+UNREADABLE = {"missing": "No such file or directory", "directory": "Is a directory"}
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_unreadable_input_is_validation_error_naming_the_file(
+    corpus, tmp_path, kind, fault, capsys
+):
+    path = tmp_path / "input"
+    if fault == "directory":
+        path.mkdir()
+    assert main(command_reading(kind, path, corpus, tmp_path)) == 1
+    assert capsys.readouterr().err == f"validation error: {path}: {UNREADABLE[fault]}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["serialize", "embed", "aggregate", "compare"])
+def test_unwritable_output_is_error_naming_the_file(corpus, tmp_path, command, capsys):
+    """An --out that is a directory, or an output_dir that is a file."""
+    out = tmp_path / "out"
+    sentences = tmp_path / "s.tsv"
+    sentences.write_text("p1\tfine\n")
+    args = {
+        "serialize": ["--data", str(corpus / "vitals.csv"),
+                      "--schema", str(corpus / "vitals.schema.yaml"), "--out", str(out)],
+        "embed": ["--in", str(sentences), "--out", str(out)],
+        "aggregate": ["--in", str(write_embeddings(tmp_path, "p1,,1.0,0.0")), "--out", str(out)],
+        "compare": ["--config", str(write_config(corpus, out))],
+    }[command]
+    if command == "compare":
+        out.write_text("")
+    else:
+        out.mkdir()
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from tabtext.data_model import (
@@ -10,9 +8,8 @@ from tabtext.data_model import (
     TableSchema,
     group_rows,
     load_schema,
-    parse_table,
 )
-from tabtext.errors import RowParseError, SchemaError, SchemaMismatchError, ValidationError
+from tabtext.errors import ValidationError
 
 
 def make_schema(time_column=None, extra_cols=()):
@@ -33,7 +30,7 @@ def make_schema(time_column=None, extra_cols=()):
 
 class TestSchemaInvariants:
     def test_duplicate_column_names_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError):
             TableSchema(
                 meta=TableMeta(),
                 columns=(
@@ -44,7 +41,7 @@ class TestSchemaInvariants:
             )
 
     def test_entity_column_must_exist(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError):
             TableSchema(
                 meta=TableMeta(),
                 columns=(ColumnSpec(name="a", kind=ColumnKind.NUMERIC),),
@@ -52,18 +49,18 @@ class TestSchemaInvariants:
             )
 
     def test_at_most_one_timestamp_kind(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError):
             make_schema(
                 time_column="t",
                 extra_cols=(ColumnSpec(name="t2", kind=ColumnKind.TIMESTAMP),),
             )
 
     def test_template_needs_exactly_one_placeholder(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError):
             ColumnSpec(
                 name="a", kind=ColumnKind.NUMERIC, descriptive_template="no placeholder"
             )
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError):
             ColumnSpec(
                 name="a",
                 kind=ColumnKind.NUMERIC,
@@ -76,98 +73,95 @@ class TestSchemaInvariants:
 
 
 class TestParseTable:
-    def test_direct_field_mapping(self):
-        rows = parse_table("id,age\np1,50\n", make_schema())
+    def test_direct_field_mapping(self, parse_text):
+        rows = parse_text("id,age\np1,50\n", make_schema())
         assert len(rows) == 1
         assert rows[0].entity_id == "p1"
         cell = rows[0].cells["age"]
         assert (cell.raw, cell.parsed, cell.missing) == ("50", 50.0, False)
 
-    def test_missing_token_preserved(self):
-        rows = parse_table("id,age\np2,NaN\n", make_schema())
+    def test_missing_token_preserved(self, parse_text):
+        rows = parse_text("id,age\np2,NaN\n", make_schema())
         cell = rows[0].cells["age"]
         assert cell.missing and cell.raw == "NaN"
 
-    def test_default_missing_tokens_case_insensitive(self):
-        rows = parse_table("id,age\np1,\np2,na\np3,NULL\np4,nAn\n", make_schema())
+    def test_default_missing_tokens_case_insensitive(self, parse_text):
+        rows = parse_text("id,age\np1,\np2,na\np3,NULL\np4,nAn\n", make_schema())
         assert all(r.cells["age"].missing for r in rows)
         assert [r.cells["age"].raw for r in rows] == ["", "na", "NULL", "nAn"]
 
-    def test_corpus_size_convention(self):
+    def test_corpus_size_convention(self, parse_text):
         lines = "id,age\n" + "".join(f"p{i},{i}\n" for i in range(1590))
-        assert len(parse_table(lines, make_schema())) == 1590
+        assert len(parse_text(lines, make_schema())) == 1590
 
-    def test_header_missing_column_names_it(self):
-        with pytest.raises(SchemaMismatchError, match="age"):
-            parse_table("id,weight\np1,50\n", make_schema())
+    def test_header_missing_column_names_it(self, parse_text):
+        with pytest.raises(ValidationError, match="line 1: header is missing schema column 'age'"):
+            parse_text("id,weight\np1,50\n", make_schema())
 
-    def test_bad_timestamp_reports_line_number(self):
+    def test_bad_timestamp_reports_line_number(self, parse_text):
         schema = make_schema(time_column="t")
-        with pytest.raises(RowParseError, match="line 3") as err:
-            parse_table("id,age,t\np1,50,1.5\np2,51,soon\n", schema)
-        assert err.value.line == 3
+        with pytest.raises(ValidationError, match="line 3: unparseable timestamp 'soon'"):
+            parse_text("id,age,t\np1,50,1.5\np2,51,soon\n", schema)
 
-    def test_negative_timestamp_reports_line_number(self):
+    def test_negative_timestamp_reports_line_number(self, parse_text):
         schema = make_schema(time_column="t")
-        with pytest.raises(RowParseError, match="line 3: negative timestamp '-5'") as err:
-            parse_table("id,age,t\np1,50,1.5\np2,51,-5\n", schema)
-        assert err.value.line == 3
+        with pytest.raises(ValidationError, match="line 3: negative timestamp '-5'"):
+            parse_text("id,age,t\np1,50,1.5\np2,51,-5\n", schema)
 
-    def test_line_number_counts_line_breaks_inside_quoted_cells(self):
+    def test_line_number_counts_line_breaks_inside_quoted_cells(self, parse_text):
         schema = make_schema(time_column="t", extra_cols=(ColumnSpec("note", ColumnKind.FREE_TEXT),))
         text = 'id,age,t,note\np1,50,1.5,"a\nb\nc"\np2,51,soon,d\n'
-        with pytest.raises(RowParseError, match="line 5") as err:
-            parse_table(text, schema)
-        assert err.value.line == 5
+        with pytest.raises(ValidationError, match="line 5: unparseable"):
+            parse_text(text, schema)
 
     @pytest.mark.parametrize("record", ["p2", "p2,51,x"])
-    def test_record_width_must_match_header(self, record):
-        with pytest.raises(RowParseError, match="line 3") as err:
-            parse_table(f"id,age\np1,50\n{record}\np3,52\n", make_schema())
-        assert err.value.line == 3
+    def test_record_width_must_match_header(self, parse_text, record):
+        with pytest.raises(ValidationError, match="line 3: "):
+            parse_text(f"id,age\np1,50\n{record}\np3,52\n", make_schema())
 
-    def test_repeated_header_name_is_mismatch(self):
-        with pytest.raises(SchemaMismatchError, match="age"):
-            parse_table("id,age,age\np1,50,60\n", make_schema())
+    def test_repeated_header_name_is_mismatch(self, parse_text):
+        with pytest.raises(ValidationError, match="line 1: header repeats a column name"):
+            parse_text("id,age,age\np1,50,60\n", make_schema())
 
-    def test_timestamp_parsed_onto_row(self):
+    def test_timestamp_parsed_onto_row(self, parse_text):
         schema = make_schema(time_column="t")
-        rows = parse_table("id,age,t\np1,50,1.5\n", schema)
+        rows = parse_text("id,age,t\np1,50,1.5\n", schema)
         assert rows[0].timestamp == 1.5
 
-    def test_no_time_column_means_no_timestamp(self):
-        rows = parse_table("id,age\np1,50\n", make_schema())
+    def test_no_time_column_means_no_timestamp(self, parse_text):
+        rows = parse_text("id,age\np1,50\n", make_schema())
         assert rows[0].timestamp is None
 
-    def test_bytes_and_stream_inputs(self):
-        schema = make_schema()
-        a = parse_table(b"id,age\np1,50\n", schema)
-        b = parse_table(io.StringIO("id,age\np1,50\n"), schema)
-        assert a == b
+    def test_lf_crlf_and_cr_line_ends_give_equal_rows(self, parse_text):
+        schema = make_schema(time_column="t", extra_cols=(ColumnSpec("note", ColumnKind.FREE_TEXT),))
+        text = 'id,age,t,note\np1,50,1.5,"a, b"\n\np2,NaN,2,\np2,51,3,c\n'
+        rows = [parse_text(text.replace("\n", end), schema) for end in ("\n", "\r\n", "\r")]
+        assert len(rows[0]) == 3
+        assert rows[0] == rows[1] == rows[2]
 
-    def test_round_trip_present_raws(self):
+    def test_round_trip_present_raws(self, parse_text):
         text = "id,age\np1,050\np2,5e1\np3, 50\n"
-        rows = parse_table(text, make_schema())
+        rows = parse_text(text, make_schema())
         raws = [r.cells["age"].raw for r in rows]
         assert raws == ["050", "5e1", " 50"]
 
-    def test_deterministic_and_order_preserving(self):
+    def test_deterministic_and_order_preserving(self, parse_text):
         text = "id,age\n" + "".join(f"p{i},{i}\n" for i in range(50))
         schema = make_schema()
-        first = parse_table(text, schema)
-        second = parse_table(text, schema)
+        first = parse_text(text, schema)
+        second = parse_text(text, schema)
         assert first == second
         assert [r.entity_id for r in first] == [f"p{i}" for i in range(50)]
 
-    def test_only_missing_tokens_become_missing(self):
-        rows = parse_table("id,age\np1,zero\np2,0\n", make_schema())
+    def test_only_missing_tokens_become_missing(self, parse_text):
+        rows = parse_text("id,age\np1,zero\np2,0\n", make_schema())
         assert not rows[0].cells["age"].missing
         assert not rows[1].cells["age"].missing
 
 
 class TestGroupRows:
-    def test_series_rows_keep_their_order_per_entity(self):
-        rows = parse_table("id,age,t\np2,1,9\np1,2,5\np2,3,1\n", make_schema("t"))
+    def test_series_rows_keep_their_order_per_entity(self, parse_text):
+        rows = parse_text("id,age,t\np2,1,9\np1,2,5\np2,3,1\n", make_schema("t"))
         grouped = group_rows("vitals", make_schema("t"), rows, ["p1", "p2"])
         assert {e: [r.cells["age"].raw for r in rs] for e, rs in grouped.items()} == {
             "p2": ["1", "3"],
@@ -181,8 +175,8 @@ class TestGroupRows:
             (None, "id,age\np9,1\np9,2\n", "static source 'src' has multiple rows for entity 'p9'"),
         ],
     )
-    def test_breach_is_stage_error_of_the_caller(self, time_column, text, message):
-        rows = parse_table(text, make_schema(time_column))
+    def test_breach_is_stage_error_of_the_caller(self, parse_text, time_column, text, message):
+        rows = parse_text(text, make_schema(time_column))
         with pytest.raises(ValidationError, match=f"^{message}"):
             group_rows("src", make_schema(time_column), rows, ["p1"])
 

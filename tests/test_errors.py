@@ -1,6 +1,6 @@
 """A StageError means an unexpected failure inside a stage, so one function
 makes it: errors.stage. Input faults are ValidationErrors raised where the
-file that carries them is read."""
+file that carries them is read, and every input file is read in formats."""
 import ast
 from pathlib import Path
 
@@ -11,10 +11,12 @@ from tabtext.errors import BackendError, StageError, ValidationError, stage
 SRC = Path(__file__).resolve().parents[1] / "src" / "tabtext"
 
 
-class _StageErrorCalls(ast.NodeVisitor):
-    """The enclosing function of every ``StageError(...)`` call in a module."""
+class _Calls(ast.NodeVisitor):
+    """The enclosing function of every call in a module to a name in ``names``,
+    a plain name or an attribute."""
 
-    def __init__(self):
+    def __init__(self, names):
+        self.names = names
         self.scope: list[str] = []
         self.found: list[str] = []
 
@@ -27,18 +29,32 @@ class _StageErrorCalls(ast.NodeVisitor):
 
     def visit_Call(self, node):
         func = node.func
-        if getattr(func, "id", getattr(func, "attr", None)) == "StageError":
+        if getattr(func, "id", getattr(func, "attr", None)) in self.names:
             self.found.append(".".join(self.scope) or "<module>")
         self.generic_visit(node)
 
 
-def test_stage_error_is_made_only_in_errors_stage():
+def calls_in_src(*names):
+    """'module.function' of every call to one of ``names`` in src/tabtext."""
     calls = []
     for path in sorted(SRC.glob("*.py")):
-        visitor = _StageErrorCalls()
+        visitor = _Calls(names)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         calls.extend(f"{path.stem}.{scope}" for scope in visitor.found)
-    assert calls == ["errors.stage"]
+    return calls
+
+
+def test_stage_error_is_made_only_in_errors_stage():
+    assert calls_in_src("StageError") == ["errors.stage"]
+
+
+def test_input_files_are_read_only_in_formats():
+    """Outside formats, only the output digest and the tests' reference
+    scorer open a file."""
+    reads = calls_in_src("open", "read_text", "read_bytes", "reader", "DictReader")
+    assert {c for c in reads if not c.startswith("formats.")} == {
+        "pipeline._digest", "synthetic.oracle_scores"
+    }
 
 
 def test_stage_wraps_only_an_unexpected_failure():

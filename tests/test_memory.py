@@ -6,11 +6,11 @@ import tracemalloc
 
 import pytest
 
-from tabtext.data_model import load_schema
+from tabtext.data_model import load_schema, parse_table
 from tabtext.embedding import HashingBackend
 from tabtext.evaluation import SplitSpec, evaluate_features
 from tabtext.formats import load_labels, read_features
-from tabtext.pipeline import build_tabtext_features, load_table
+from tabtext.pipeline import build_tabtext_features
 from tabtext.serializer import SerializationConfig
 from tabtext.synthetic import CorpusSpec, generate
 
@@ -22,7 +22,7 @@ def inputs(tmp_path_factory):
     sources = []
     for name in ("demographics", "vitals"):
         schema = load_schema(path / f"{name}.schema.yaml")
-        sources.append((name, schema, load_table(path / f"{name}.csv", schema)))
+        sources.append((name, schema, parse_table(path / f"{name}.csv", schema)))
     ids, labels = load_labels(path / "labels.csv")
     return sources, ids, labels
 

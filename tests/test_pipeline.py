@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema, parse_table
+from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema
 from tabtext.embedding import HashingBackend
 from tabtext.errors import ValidationError
 from tabtext.evaluation import SplitSpec
@@ -36,7 +36,7 @@ class RecordingBackend(HashingBackend):
         return super().embed_batch(texts)
 
 
-def static_source(name, column, csv_text):
+def static_source(parse_text, name, column, csv_text):
     schema = TableSchema(
         meta=TableMeta(table_title=name),
         columns=(
@@ -45,10 +45,10 @@ def static_source(name, column, csv_text):
         ),
         entity_column="id",
     )
-    return name, schema, parse_table(csv_text, schema)
+    return name, schema, parse_text(csv_text, schema)
 
 
-def series_source(csv_text):
+def series_source(parse_text, csv_text):
     schema = TableSchema(
         meta=TableMeta(table_title="vitals"),
         columns=(
@@ -59,12 +59,22 @@ def series_source(csv_text):
         entity_column="id",
         time_column="t",
     )
-    return "vitals", schema, parse_table(csv_text, schema)
+    return "vitals", schema, parse_text(csv_text, schema)
 
 
-DEMO = static_source("demo", "age", "id,age\np1,50\np2,60\n")
-LABS = static_source("labs", "ldl", "id,ldl\np1,3\np2,4\n")
-VITALS = series_source("id,t,hr\np1,1,80\np1,2,90\np2,1,70\n")
+@pytest.fixture
+def demo(parse_text):
+    return static_source(parse_text, "demo", "age", "id,age\np1,50\np2,60\n")
+
+
+@pytest.fixture
+def labs(parse_text):
+    return static_source(parse_text, "labs", "ldl", "id,ldl\np1,3\np2,4\n")
+
+
+@pytest.fixture
+def vitals(parse_text):
+    return series_source(parse_text, "id,t,hr\np1,1,80\np1,2,90\np2,1,70\n")
 
 
 def build(sources, config, backend, ids=("p1", "p2")):
@@ -72,29 +82,29 @@ def build(sources, config, backend, ids=("p1", "p2")):
 
 
 class TestCombineModes:
-    def test_single_paragraph_joins_static_texts_with_one_space(self):
+    def test_single_paragraph_joins_static_texts_with_one_space(self, demo, vitals, labs):
         backend = RecordingBackend()
-        build([DEMO, VITALS, LABS], SINGLE, backend)
+        build([demo, vitals, labs], SINGLE, backend)
         # per entity: the series rows first, then one paragraph of static texts
         assert backend.texts == [
             "hr is 80.", "hr is 90.", "age is 50. ldl is 3.",
             "hr is 70.", "age is 60. ldl is 4.",
         ]
 
-    def test_single_paragraph_keeps_backend_dimension(self):
+    def test_single_paragraph_keeps_backend_dimension(self, demo, vitals, labs):
         backend = HashingBackend(dim=16)
-        features = build([DEMO, VITALS, LABS], SINGLE, backend)
+        features = build([demo, vitals, labs], SINGLE, backend)
         assert features.values.shape == (2, backend.dim)
         assert features.feature_names == [f"text.e{i}" for i in range(16)]
 
-    def test_single_static_source_modes_agree(self):
-        separate = build([DEMO], SEPARATE, HashingBackend(dim=16))
-        single = build([DEMO], SINGLE, HashingBackend(dim=16))
+    def test_single_static_source_modes_agree(self, demo):
+        separate = build([demo], SEPARATE, HashingBackend(dim=16))
+        single = build([demo], SINGLE, HashingBackend(dim=16))
         np.testing.assert_array_equal(separate.values, single.values)
 
-    def test_separate_concatenates_per_source_blocks(self):
+    def test_separate_concatenates_per_source_blocks(self, demo, labs):
         backend = HashingBackend(dim=16)
-        features = build([DEMO, LABS], SEPARATE, backend)
+        features = build([demo, labs], SEPARATE, backend)
         assert features.values.shape == (2, 32)
         assert features.feature_names[:2] == ["demo.e0", "demo.e1"]
         assert features.feature_names[16] == "labs.e0"
@@ -102,27 +112,27 @@ class TestCombineModes:
             features.values[0, 16:], backend.embed_batch(["ldl is 3."])[0]
         )
 
-    def test_entity_without_rows_gets_zero_block(self):
+    def test_entity_without_rows_gets_zero_block(self, demo, vitals):
         features = build(
-            [DEMO, VITALS], SEPARATE, HashingBackend(dim=16), ids=("p1", "p2", "p3")
+            [demo, vitals], SEPARATE, HashingBackend(dim=16), ids=("p1", "p2", "p3")
         )
         np.testing.assert_array_equal(features.values[2], np.zeros(32))
 
 
 class TestConsistency:
     @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
-    def test_duplicate_static_row_is_error(self, config):
-        demo = static_source("demo", "age", "id,age\np1,50\np1,51\n")
+    def test_duplicate_static_row_is_error(self, config, parse_text, vitals):
+        demo = static_source(parse_text, "demo", "age", "id,age\np1,50\np1,51\n")
         with pytest.raises(ValidationError, match="multiple rows for entity 'p1'"):
-            build([demo, VITALS], config, HashingBackend(dim=16))
+            build([demo, vitals], config, HashingBackend(dim=16))
 
     @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
-    def test_series_entity_outside_universe_is_error(self, config):
+    def test_series_entity_outside_universe_is_error(self, config, demo, vitals):
         with pytest.raises(ValidationError, match="'p2'.*not in the entity universe"):
-            build([DEMO, VITALS], config, HashingBackend(dim=16), ids=("p1",))
+            build([demo, vitals], config, HashingBackend(dim=16), ids=("p1",))
 
-    def test_static_entity_outside_universe_is_ignored(self):
-        features = build([DEMO], SEPARATE, HashingBackend(dim=16), ids=("p1",))
+    def test_static_entity_outside_universe_is_ignored(self, demo):
+        features = build([demo], SEPARATE, HashingBackend(dim=16), ids=("p1",))
         assert features.entity_ids == ["p1"]
 
 

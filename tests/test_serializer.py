@@ -165,11 +165,11 @@ class TestSerializeRow:
         assert serialize_row(schema, row, config()) == "hr is 80."
 
 
-def test_golden_sentences_byte_exact():
+def test_golden_sentences_byte_exact(tmp_path):
     golden = json.loads(
         (Path(__file__).parent / "data" / "golden_sentences.json").read_text()
     )
-    rows = golden_rows()
+    rows = golden_rows(tmp_path)
     for key, cfg in golden_configs():
         produced = [serialize_row(GOLDEN_SCHEMA, row, cfg) for row in rows]
         assert produced == golden[key], f"mismatch at grid point {key}"

@@ -26,7 +26,7 @@ def load_corpus_sources(corpus: Path):
     sources = []
     for name in ("demographics", "vitals"):
         schema = load_schema(corpus / f"{name}.schema.yaml")
-        rows = parse_table((corpus / f"{name}.csv").read_bytes(), schema)
+        rows = parse_table(corpus / f"{name}.csv", schema)
         sources.append((name, schema, rows))
     return sources
 
