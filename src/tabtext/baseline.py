@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -78,27 +79,40 @@ def encode_categorical(
 
 
 def summarize_series(values: Sequence[tuple[float, float]]) -> dict[str, float]:
-    """Summary statistics of one (timestamp, value) series.
+    """Summary statistics of one (timestamp, value) series: the one-series
+    case of :func:`series_statistics`, after a stable sort by timestamp."""
+    ordered = [v for _, v in sorted(values, key=itemgetter(0))]
+    return dict(zip(SERIES_STATS, series_statistics([ordered])[0].tolist()))
+
+
+def series_statistics(series: Sequence[Sequence[float]]) -> np.ndarray:
+    """SERIES_STATS of each series of values in time order, one row each.
 
     Sample variance (n-1 denominator, 0 when n <= 1); average_change is the
-    endpoint slope (last - first) / (n - 1) after sorting by timestamp.
-    Empty series gives all zeros. A statistic that overflows raises
-    ``FloatingPointError``.
+    endpoint slope (last - first) / (n - 1). An empty series gives all zeros.
+    A statistic that overflows raises ``FloatingPointError``.
+
+    The series of each length n are stacked into one C-contiguous (k, n)
+    array and reduced along its last axis. numpy reduces each row of such an
+    array exactly as it reduces the row alone, so every row's bits are those
+    of the same statistics of its series computed on its own.
     """
-    if not values:
-        return {stat: 0.0 for stat in SERIES_STATS}
-    ordered = sorted(values, key=lambda pair: pair[0])
-    data = np.array([v for _, v in ordered], dtype=np.float64)
-    n = len(data)
-    with np.errstate(over="raise", invalid="raise"):
-        return {
-            "mean": float(data.mean()),
-            "min": float(data.min()),
-            "max": float(data.max()),
-            "variance": float(data.var(ddof=1)) if n > 1 else 0.0,
-            "average_change": float((data[-1] - data[0]) / (n - 1)) if n > 1 else 0.0,
-            "count": float(n),
-        }
+    out = np.zeros((len(series), len(SERIES_STATS)), dtype=np.float64)
+    by_length: dict[int, list[int]] = {}
+    for i, values in enumerate(series):
+        by_length.setdefault(len(values), []).append(i)
+    by_length.pop(0, None)
+    for n, index in by_length.items():
+        data = np.array([series[i] for i in index], dtype=np.float64)
+        with np.errstate(over="raise", invalid="raise"):
+            out[index, 0] = data.mean(axis=1)
+            out[index, 1] = data.min(axis=1)
+            out[index, 2] = data.max(axis=1)
+            if n > 1:
+                out[index, 3] = data.var(axis=1, ddof=1)
+                out[index, 4] = (data[:, -1] - data[:, 0]) / (n - 1)
+        out[index, 5] = n
+    return out
 
 
 def build_baseline_features(
@@ -124,21 +138,15 @@ def build_baseline_features(
         grouped = group_rows(source, schema, rows, universe)
         per_entity = [grouped.get(e, []) for e in universe]
         latest = [max(r, key=lambda row: row.timestamp) if r else None for r in per_entity]
+        if schema.time_column is not None:
+            ordered = [sorted(r, key=attrgetter("timestamp")) for r in per_entity]
         for col in schema.value_columns:
             if col.kind is ColumnKind.NUMERIC and schema.time_column is not None:
-                stats = []
-                for entity, entity_rows in zip(universe, per_entity):
-                    series = [(row.timestamp, value) for row in entity_rows
-                              if (value := _number(row.cells[col.name])) is not None]
-                    try:
-                        stats.append(summarize_series(series))
-                    except FloatingPointError as exc:
-                        raise ValidationError(
-                            f"source '{source}': a statistic of column '{col.name}' of "
-                            f"entity '{entity}' overflows ({exc})"
-                        ) from None
+                series = [[value for row in entity_rows
+                           if (value := _number(row.cells[col.name])) is not None]
+                          for entity_rows in ordered]
                 names.extend(f"{source}.{col.name}.{stat}" for stat in SERIES_STATS)
-                columns.extend(np.array([s[stat] for s in stats]) for stat in SERIES_STATS)
+                columns.extend(_column_statistics(source, col.name, universe, series).T)
                 continue
             cells = [CellValue.absent("") if row is None else row.cells[col.name] for row in latest]
             if col.kind is ColumnKind.NUMERIC:
@@ -161,6 +169,26 @@ def build_baseline_features(
         values=values,
         labels=[labels[e] for e in universe] if labels else None,
     )
+
+
+def _column_statistics(
+    source: str, column: str, universe: Sequence[str], series: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """:func:`series_statistics` of one column's series, one per entity of
+    ``universe``. An overflow is a ValidationError naming the first entity
+    whose series overflows on its own."""
+    try:
+        return series_statistics(series)
+    except FloatingPointError:
+        for entity, values in zip(universe, series):
+            try:
+                series_statistics([values])
+            except FloatingPointError as exc:
+                raise ValidationError(
+                    f"source '{source}': a statistic of column '{column}' of "
+                    f"entity '{entity}' overflows ({exc})"
+                ) from None
+        raise  # unreachable: a stacked row overflows only where the series does
 
 
 def _number(cell: CellValue, default: Optional[float] = None) -> Optional[float]:

@@ -27,7 +27,6 @@ from .serializer import (
     SerializationConfig,
     serialize_row,
 )
-from .synthetic import CorpusSpec, generate
 from .temporal import aggregate_entity
 
 
@@ -59,6 +58,8 @@ def _ser_options(fn):
 @click.option("--informative-missingness", is_flag=True, default=False)
 def gen_corpus(out_dir, seed, n_entities, positive_rate, missingness_rate, informative_missingness):
     """Generate a seeded synthetic corpus (data + schemas + labels)."""
+    from .synthetic import CorpusSpec, generate  # only this command needs it
+
     spec = CorpusSpec(
         seed=seed,
         n_entities=n_entities,

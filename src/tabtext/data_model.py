@@ -103,6 +103,15 @@ class CellValue:
         return CellValue(raw, None, True)
 
 
+class _CellMemo(dict):
+    """Each text's cell, made on its first lookup."""
+
+    def __missing__(self, raw: str) -> CellValue:
+        missing = raw.lower() in MISSING_TOKENS
+        cell = self[raw] = CellValue.absent(raw) if missing else CellValue.present(raw)
+        return cell
+
+
 def _parse_finite(raw: str) -> Optional[float]:
     try:
         value = float(raw)
@@ -200,28 +209,22 @@ def parse_table(path: PathLike, schema: TableSchema) -> list[Row]:
     The header names each schema column once. Fields whose lowercased value
     is in ``MISSING_TOKENS`` become missing cells that keep the original
     token. Numeric parsing is attempted for every field; ``parsed`` is set
-    only when the value is a finite number.
+    only when the value is a finite number. A cell is frozen and depends only
+    on its text, so one call makes one cell per distinct text and shares it.
     """
     records = read_csv(path, 1)
     _, header = next(records)
     if len(set(header)) < len(header):
         raise _invalid(path, 1, f"header repeats a column name: {header}")
-    positions: dict[str, int] = {}
     for col in schema.columns:
         if col.name not in header:
             raise _invalid(path, 1, f"header is missing schema column '{col.name}'")
-        positions[col.name] = header.index(col.name)
+    positions = [(col.name, header.index(col.name)) for col in schema.columns]
 
+    memo = _CellMemo()
     rows: list[Row] = []
     for line, record in records:
-        cells: dict[str, CellValue] = {}
-        for col in schema.columns:
-            raw = record[positions[col.name]]
-            if raw.lower() in MISSING_TOKENS:
-                cells[col.name] = CellValue.absent(raw)
-            else:
-                cells[col.name] = CellValue.present(raw)
-
+        cells = {name: memo[record[position]] for name, position in positions}
         entity_id = cells[schema.entity_column].raw
         timestamp = None
         if schema.time_column is not None:

@@ -189,6 +189,9 @@ class CachingBackend:
     """
 
     FILE = "embeddings.sqlite3"
+    # Keys bound per lookup: sqlite's default cap on a statement's parameters
+    # (since 3.32). One IN (...) over every key of a large batch breaks it.
+    MAX_VARIABLES = 32766
 
     def __init__(self, inner: EmbeddingBackend, cache_dir: Union[str, Path]):
         import sqlite3
@@ -223,9 +226,12 @@ class CachingBackend:
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         keys = [self._key(text) for text in texts]
-        query = f"SELECT key, vec FROM vectors WHERE key IN ({','.join('?' * len(keys))})"
+        found: dict[str, bytes] = {}
         with self._io():
-            found = dict(self._db.execute(query, keys))
+            for start in range(0, len(keys), self.MAX_VARIABLES):
+                part = keys[start : start + self.MAX_VARIABLES]
+                query = f"SELECT key, vec FROM vectors WHERE key IN ({','.join('?' * len(part))})"
+                found.update(self._db.execute(query, part))
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
         miss_idx: list[int] = []
         for i, key in enumerate(keys):

@@ -231,6 +231,37 @@ def test_import_loads_no_http_client_or_sqlite():
     assert modules_loaded_by_import(names) == "[]"
 
 
+def test_import_loads_no_corpus_generator():
+    # Only gen-corpus needs it, and imports it when it runs.
+    assert modules_loaded_by_import({"tabtext.synthetic"}) == "[]"
+
+
+# Entities of the seed-0 corpus that each command runs on. From 800 entities
+# up (not at 600 or fewer), the fit's weights differ in their low bits between
+# one and two BLAS threads; ablate runs on fewer to keep the test short.
+THREAD_CHECK_ENTITIES = {"compare": 800, "ablate": 150}
+
+
+@pytest.mark.parametrize("command, output", [("compare", "manifest.json"),
+                                             ("ablate", "ablation_report.json")])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command, output):
+    corpus = tmp_path / "corpus"
+    generate(CorpusSpec(seed=0, n_entities=THREAD_CHECK_ENTITIES[command]), corpus)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**SRC_ENV, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads
+        )}
+        out = tmp_path / f"out{threads}"
+        config = write_config(corpus, out, embedding={"backend": "hashing"})
+        subprocess.run(
+            [sys.executable, "-m", "tabtext.cli", command, "--config", str(config)],
+            capture_output=True, check=True, env=env,
+        )
+        outputs.append((out / output).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def write_embeddings(tmp_path, *rows):
     path = tmp_path / "emb.csv"
     path.write_text("entity_id,timestamp,e0,e1\n" + "\n".join(rows) + "\n")

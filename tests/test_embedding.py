@@ -176,6 +176,35 @@ class TestCachingBackend:
         b = CachingBackend(HashingBackend(dim=8), tmp_path / "c")
         assert key_a != b._key("hello")
 
+    def test_batch_above_sqlite_parameter_limit_is_looked_up(self, tmp_path):
+        # One more key than this sqlite build binds in one statement, all hits.
+        with contextlib.closing(sqlite3.connect(":memory:")) as db:
+            limit = db.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
+        inner = StubBackend(dim=2)
+        cached = CachingBackend(inner, tmp_path)
+        warm = cached.embed_batch([f"t{i}" for i in range(100)])
+        calls = inner.calls
+        got = cached.embed_batch([f"t{i % 100}" for i in range(limit + 1)])
+        assert inner.calls == calls
+        np.testing.assert_array_equal(got, warm[np.arange(limit + 1) % 100])
+
+    def test_lookup_in_slices_finds_every_stored_key(self, tmp_path):
+        inner = StubBackend()
+        cached = CachingBackend(inner, tmp_path)
+        cached.MAX_VARIABLES = 3
+        warm = [f"w{i}" for i in range(10)]
+        cached.embed_batch(warm)
+        texts = [warm[i] if i < 10 else f"n{i}" for i in np.random.default_rng(0).permutation(17)]
+        misses = []
+
+        def vector(text):
+            misses.append(text)
+            return StubBackend.vector(inner, text)
+
+        inner.vector = vector
+        np.testing.assert_array_equal(cached.embed_batch(texts), StubBackend().embed_batch(texts))
+        assert sorted(misses) == [f"n{i}" for i in range(10, 17)]
+
     @pytest.mark.parametrize(
         "damage", [lambda b: b[:-1], lambda b: b[:8], lambda b: b + b, lambda b: b""],
         ids=["one-byte-short", "one-value", "twice-as-long", "empty"],

@@ -1,19 +1,40 @@
 """Differential tests of the row-path kernels: the hashing embedder, the
-timestamp-weighted sum and the float-row CSV writer each give, byte for byte,
-what the plain versions kept frozen below give (a dense vector per text with
-np.linalg.norm, np.stack of every vector, one list of fields per CSV line).
-The feature CSV reader, which fills its matrix in place, is checked on every
-line ending that csv.reader accepts."""
+timestamp-weighted sum, the float-row CSV writer, the table parser and the
+series statistics each give, byte for byte, what the plain versions kept
+frozen below give (a dense vector per text with np.linalg.norm, np.stack of
+every vector, one list of fields per CSV line, one new cell per field, one
+1-D array per series). The feature CSV reader, which fills its matrix in
+place, is checked on every line ending that csv.reader accepts."""
 import hashlib
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tabtext.baseline import (
+    SERIES_STATS,
+    build_baseline_features,
+    series_statistics,
+    summarize_series,
+)
+from tabtext.data_model import (
+    MISSING_TOKENS,
+    CellValue,
+    ColumnKind,
+    ColumnSpec,
+    Row,
+    TableMeta,
+    TableSchema,
+    load_schema,
+    parse_table,
+)
 from tabtext.embedding import HashingBackend, chunk_text, embed_text
-from tabtext.formats import read_features, write_float_rows
+from tabtext.errors import ValidationError
+from tabtext.formats import _invalid, read_csv, read_features, write_float_rows
+from tabtext.synthetic import CorpusSpec, generate
 from tabtext.temporal import aggregate_timed
 
 # ---- frozen reference versions -------------------------------------------
@@ -68,6 +89,58 @@ def frozen_write_float_rows(handle, leads, values, block_rows=256):
             for j in range(bounds[i], bounds[i + 1]):
                 fields[offset + cols[j]] = texts[j]
             handle.write(",".join(fields) + "\n")
+
+
+def frozen_parse_table(path, schema):
+    records = read_csv(path, 1)
+    _, header = next(records)
+    if len(set(header)) < len(header):
+        raise _invalid(path, 1, f"header repeats a column name: {header}")
+    positions = {}
+    for col in schema.columns:
+        if col.name not in header:
+            raise _invalid(path, 1, f"header is missing schema column '{col.name}'")
+        positions[col.name] = header.index(col.name)
+    rows = []
+    for line, record in records:
+        cells = {}
+        for col in schema.columns:
+            raw = record[positions[col.name]]
+            if raw.lower() in MISSING_TOKENS:
+                cells[col.name] = CellValue.absent(raw)
+            else:
+                cells[col.name] = CellValue.present(raw)
+        entity_id = cells[schema.entity_column].raw
+        timestamp = None
+        if schema.time_column is not None:
+            tcell = cells[schema.time_column]
+            timestamp = tcell.parsed
+            if timestamp is None or timestamp < 0:
+                raise _invalid(
+                    path,
+                    line,
+                    f"{'unparseable' if timestamp is None else 'negative'} timestamp "
+                    f"{tcell.raw!r} in column '{schema.time_column}'",
+                )
+        rows.append(Row(entity_id=entity_id, cells=cells, timestamp=timestamp))
+    return rows
+
+
+def frozen_summarize_series(values):
+    if not values:
+        return {stat: 0.0 for stat in SERIES_STATS}
+    ordered = sorted(values, key=lambda pair: pair[0])
+    data = np.array([v for _, v in ordered], dtype=np.float64)
+    n = len(data)
+    with np.errstate(over="raise", invalid="raise"):
+        return {
+            "mean": float(data.mean()),
+            "min": float(data.min()),
+            "max": float(data.max()),
+            "variance": float(data.var(ddof=1)) if n > 1 else 0.0,
+            "average_change": float((data[-1] - data[0]) / (n - 1)) if n > 1 else 0.0,
+            "count": float(n),
+        }
 
 
 # ---- hashing --------------------------------------------------------------
@@ -213,3 +286,168 @@ def test_read_features_reads_every_line_ending(tmp_path, newline, blank_lines):
     assert labels.tolist() == [1, 0, 1]
     want = np.array([[0.5, 0.0], [-0.0, 1e308], [5e-324, 2.0]])
     assert values.shape == (3, 2) and values.tobytes() == want.tobytes()
+
+
+# ---- table parser -----------------------------------------------------------
+
+SERIES_SCHEMA = TableSchema(
+    meta=TableMeta(),
+    columns=(
+        ColumnSpec("id", ColumnKind.CATEGORICAL),
+        ColumnSpec("t", ColumnKind.TIMESTAMP),
+        ColumnSpec("x", ColumnKind.NUMERIC),
+        ColumnSpec("y", ColumnKind.NUMERIC),
+        ColumnSpec("c", ColumnKind.CATEGORICAL),
+        ColumnSpec("s", ColumnKind.FREE_TEXT),
+    ),
+    entity_column="id",
+    time_column="t",
+)
+# Every column draws from one pool, so one text recurs across columns.
+FIELDS = ["", "NA", "na", "NaN", "nan", "Null", "null", "-0.0", "0.0", "0", "1", "1.0",
+          "1e400", "-1e400", "inf", "-inf", " 7 ", "1_0", "abc", "x,y", 'q"t', "p1"]
+STAMPS = ["0", "-0.0", "1", "1.0", "2.5", "1e2", " 3", "1"]
+
+
+def _write(path, header, records):
+    path.write_text("\n".join([",".join(header), *records]) + "\n", encoding="utf-8")
+    return path
+
+
+def _quote(text):
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
+def test_parse_table_matches_one_cell_per_field(tmp_path):
+    # A header in another order than the schema's, with a column it does not name.
+    header = ["s", "extra", "t", "id", "y", "c", "x"]
+    rng = np.random.default_rng(5)
+    records = []
+    for _ in range(400):
+        fields = {name: FIELDS[rng.integers(len(FIELDS))] for name in ("s", "y", "c", "x")}
+        fields.update(extra="zz", t=STAMPS[rng.integers(len(STAMPS))], id=f"p{rng.integers(9)}")
+        records.append(",".join(_quote(fields[name]) for name in header))
+    path = _write(tmp_path / "series.csv", header, records)
+    got = parse_table(path, SERIES_SCHEMA)
+    want = frozen_parse_table(path, SERIES_SCHEMA)
+    assert len(got) == 400 and got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("stamp", ["-1", "abc", "", "NA", "inf", "1e400"])
+def test_parse_table_names_the_same_bad_timestamp(tmp_path, stamp):
+    records = ["p1,1,2,3,c,s", "p1,0,2,3,c,s", f"p2,{stamp},2,3,c,s", "p3,-5,2,3,c,s"]
+    path = _write(tmp_path / "bad.csv", ["id", "t", "x", "y", "c", "s"], records)
+    with pytest.raises(ValidationError) as got:
+        parse_table(path, SERIES_SCHEMA)
+    with pytest.raises(ValidationError) as want:
+        frozen_parse_table(path, SERIES_SCHEMA)
+    assert str(got.value) == str(want.value) and "line 4:" in str(got.value)
+
+
+def test_parse_table_matches_one_cell_per_field_on_the_corpus(tmp_path):
+    generate(CorpusSpec(seed=0, n_entities=80), tmp_path)
+    for name in ("demographics", "vitals"):
+        schema = load_schema(tmp_path / f"{name}.schema.yaml")
+        got = parse_table(tmp_path / f"{name}.csv", schema)
+        want = frozen_parse_table(tmp_path / f"{name}.csv", schema)
+        assert got == want and repr(got) == repr(want)
+
+
+# ---- series statistics ------------------------------------------------------
+
+LENGTHS = [*range(40), 127, 128, 129, 130, 255, 256, 257, 300, 1000, 1025]
+
+
+def frozen_rows(stats):
+    """Dicts of statistics as the rows of one array, in SERIES_STATS order."""
+    return np.array([[s[stat] for stat in SERIES_STATS] for s in stats]).reshape(-1, 6)
+
+
+def random_series(rng, n, scale):
+    """n (timestamp, value) pairs with tied timestamps and some -0.0 values."""
+    stamps = rng.integers(0, max(n // 3, 1), size=n).astype(np.float64)
+    values = rng.normal(size=n) * scale
+    values[rng.random(n) < 0.1] = -0.0
+    return list(zip(stamps.tolist(), values.tolist()))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-300])
+def test_series_statistics_match_one_array_per_series(scale):
+    rng = np.random.default_rng(11)
+    series = [random_series(rng, n, scale) for n in LENGTHS for _ in range(3)]
+    series = [series[i] for i in rng.permutation(len(series))]
+    want = [frozen_summarize_series(pairs) for pairs in series]
+    ordered = [[v for _, v in sorted(pairs, key=lambda pair: pair[0])] for pairs in series]
+    assert series_statistics(ordered).tobytes() == frozen_rows(want).tobytes()
+    assert repr([summarize_series(pairs) for pairs in series]) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+                max_size=8))
+def test_series_statistics_match_one_array_per_series_on_any_values(series):
+    pairs = [[(0.0, v) for v in values] for values in series]
+    try:
+        want = [frozen_summarize_series(p) for p in pairs]
+    except FloatingPointError:
+        with pytest.raises(FloatingPointError):
+            series_statistics(series)
+        return
+    assert series_statistics(series).tobytes() == frozen_rows(want).tobytes()
+
+
+def frozen_baseline_stats(universe, rows, column):
+    """The old build_baseline_features loop's statistics of one series column,
+    one row per entity."""
+    per_entity = {e: [] for e in universe}
+    for row in rows:
+        cell = row.cells[column]
+        if not cell.missing and cell.parsed is not None:
+            per_entity[row.entity_id].append((row.timestamp, cell.parsed))
+    return frozen_rows([frozen_summarize_series(per_entity[e]) for e in universe])
+
+
+def series_rows(rng, universe, scale):
+    """Rows of SERIES_SCHEMA in shuffled order. Entity i has
+    LENGTHS[i % len(LENGTHS)] rows; each x and y is missing, unparseable,
+    -0.0 or a random number."""
+    cells = [CellValue.absent("na"), CellValue.present("abc"), CellValue.present("-0.0")]
+    rows = []
+    for i, entity in enumerate(universe):
+        for stamp, value in random_series(rng, LENGTHS[i % len(LENGTHS)], scale):
+            x, y = (cells[k] if k < 3 else CellValue(repr(value), value)
+                    for k in rng.integers(12, size=2))
+            rows.append(Row(entity, {"id": CellValue(entity), "t": CellValue(repr(stamp), stamp),
+                                     "x": x, "y": y, "c": CellValue.absent(""),
+                                     "s": CellValue.absent("")}, stamp))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-300])
+def test_baseline_series_statistics_match_one_array_per_entity(scale):
+    rng = np.random.default_rng(3)
+    universe = [f"e{i}" for i in range(3 * len(LENGTHS))]
+    rows = series_rows(rng, universe, scale)
+    features = build_baseline_features([("v", SERIES_SCHEMA, rows)], universe)
+    for k, column in enumerate(("x", "y")):
+        got = features.values[:, 6 * k : 6 * k + 6]
+        assert features.feature_names[6 * k] == f"v.{column}.mean"
+        want = frozen_baseline_stats(universe, rows, column)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_baseline_overflow_names_the_first_entity_in_universe_order():
+    # e0 and e2 share a length; the stacked pair overflows through e2, but e1
+    # (a longer series) comes first in the universe.
+    series = {"e0": [1.0, 2.0], "e1": [1e308, -1e308, 1e308], "e2": [1e308, 1e308]}
+    rows = [Row(e, {"id": CellValue(e), "t": CellValue(str(t), float(t)),
+                    "x": CellValue(repr(v), v), "y": CellValue.absent(""),
+                    "c": CellValue.absent(""), "s": CellValue.absent("")}, float(t))
+            for e, values in series.items() for t, v in enumerate(values)]
+    with pytest.raises(FloatingPointError) as frozen:
+        frozen_summarize_series(list(enumerate(series["e1"])))
+    with pytest.raises(ValidationError) as got:
+        build_baseline_features([("v", SERIES_SCHEMA, rows)], list(series))
+    assert str(got.value) == (
+        f"source 'v': a statistic of column 'x' of entity 'e1' overflows ({frozen.value})"
+    )

@@ -1,7 +1,8 @@
 """Memory guards: a feature matrix is built and read back in place and
 evaluated through row indices, never copied at full width. tracemalloc counts
 numpy's buffers, so a list of per-entity rows stacked into the matrix, or a
-copy of the training rows, shows in the traced peak of the call."""
+copy of the training rows, shows in the traced peak of the call. A parsed
+table shares one cell among the fields of each distinct text."""
 import tracemalloc
 
 import pytest
@@ -16,14 +17,19 @@ from tabtext.synthetic import CorpusSpec, generate
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus")
     generate(CorpusSpec(seed=3, n_entities=400), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def inputs(corpus):
     sources = []
     for name in ("demographics", "vitals"):
-        schema = load_schema(path / f"{name}.schema.yaml")
-        sources.append((name, schema, parse_table(path / f"{name}.csv", schema)))
-    ids, labels = load_labels(path / "labels.csv")
+        schema = load_schema(corpus / f"{name}.schema.yaml")
+        sources.append((name, schema, parse_table(corpus / f"{name}.csv", schema)))
+    ids, labels = load_labels(corpus / "labels.csv")
     return sources, ids, labels
 
 
@@ -64,3 +70,12 @@ def test_reading_the_feature_csv_holds_one_matrix(inputs, tmp_path):
     assert ids == features.entity_ids and labels.tolist() == features.labels.tolist()
     assert values.tobytes() == features.values.tobytes()
     assert peak <= 1.25 * values.nbytes
+
+
+def test_parsing_a_table_makes_one_cell_per_distinct_text(corpus):
+    # A new cell for every field needs about 750 B a row; shared cells about 350.
+    schema = load_schema(corpus / "vitals.schema.yaml")
+    parse_table(corpus / "vitals.csv", schema)  # leaves out one-off allocations
+    rows, peak = traced_peak(lambda: parse_table(corpus / "vitals.csv", schema))
+    assert len(rows) > 2000
+    assert peak <= 500 * len(rows)
