@@ -22,6 +22,17 @@ from .formats import read_features, write_features
 SERIES_STATS = ("mean", "min", "max", "variance", "average_change", "count")
 
 
+@dataclass(frozen=True)
+class BaselineConfig:
+    """The ``baseline`` section: the categories a column keeps before "other"."""
+
+    max_categories: int = 10
+
+    def __post_init__(self):
+        if self.max_categories < 1:
+            raise ValidationError("max_categories must be >= 1")
+
+
 @dataclass
 class FeatureMatrix:
     """Dense per-entity feature rows with optional binary labels."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baseline import FeatureMatrix, build_baseline_features
 from .data_model import from_dict, load_schema
-from .embedding import DEFAULT_DIM, DEFAULT_MAX_CHARS, MAX_DIM, embed_text, make_backend
+from .embedding import EmbeddingConfig, embed_text, make_backend
 from .errors import BackendError, TabTextError, ValidationError, stage
 from .evaluation import SplitSpec, evaluate_features
 from .formats import read_embeddings, read_sentences, write_embeddings, write_sentences
@@ -27,7 +27,7 @@ from .serializer import (
     SerializationConfig,
     serialize_row,
 )
-from .temporal import aggregate_entity
+from .temporal import TemporalConfig, aggregate_entity
 
 
 @click.group()
@@ -51,23 +51,16 @@ def _ser_options(fn):
 
 @cli.command("gen-corpus")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=0)
-@click.option("--n-entities", type=click.IntRange(min=0), default=1590)
-@click.option("--positive-rate", type=click.FloatRange(0, 1), default=121 / 1590)
-@click.option("--missingness-rate", type=click.FloatRange(0, 1), default=0.2)
-@click.option("--informative-missingness", is_flag=True, default=False)
-def gen_corpus(out_dir, seed, n_entities, positive_rate, missingness_rate, informative_missingness):
+@click.option("--seed", type=int)
+@click.option("--n-entities", type=int)
+@click.option("--positive-rate", type=float)
+@click.option("--missingness-rate", type=float)
+@click.option("--informative-missingness", is_flag=True, default=None)
+def gen_corpus(out_dir, **options):
     """Generate a seeded synthetic corpus (data + schemas + labels)."""
     from .synthetic import CorpusSpec, generate  # only this command needs it
 
-    spec = CorpusSpec(
-        seed=seed,
-        n_entities=n_entities,
-        positive_rate=positive_rate,
-        missingness_rate=missingness_rate,
-        informative_missingness=informative_missingness,
-    )
-    path = generate(spec, out_dir)
+    path = generate(CorpusSpec(**_given(options)), out_dir)
     click.echo(f"corpus written to {path}")
 
 
@@ -91,15 +84,16 @@ def serialize(data, schema, out_path, **axes):
 @cli.command()
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--backend", default="hashing")
-@click.option("--dim", type=click.IntRange(1, MAX_DIM), default=DEFAULT_DIM)
-@click.option("--max-chars", type=click.IntRange(min=1), default=DEFAULT_MAX_CHARS)
-@click.option("--cache", type=click.Path(), default=None)
-@click.option("--url", default=None)
-def embed(in_path, out_path, backend, dim, max_chars, cache, url):
+@click.option("--backend")
+@click.option("--dim", type=int)
+@click.option("--max-chars", type=int)
+@click.option("--cache", type=click.Path(path_type=Path))
+@click.option("--url")
+def embed(in_path, out_path, **options):
     """Embed a sentence file into a per-row embedding CSV."""
+    config = EmbeddingConfig(**_given(options))  # a bad flag is reported before --in is read
     records = read_sentences(in_path)
-    be = make_backend(backend, dim=dim, max_chars=max_chars, url=url, cache_dir=cache)
+    be = make_backend(config)  # after the read: a missing input makes no cache directory
     write_embeddings(out_path, be.dim, ((e, t, embed_text(s, be)) for e, t, s in records))
     click.echo(f"wrote {len(records)} embeddings to {out_path}")
 
@@ -107,9 +101,10 @@ def embed(in_path, out_path, backend, dim, max_chars, cache, url):
 @cli.command()
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--normalize/--no-normalize", default=True)
-def aggregate(in_path, out_path, normalize):
+@click.option("--normalize/--no-normalize", default=None)
+def aggregate(in_path, out_path, **options):
     """Aggregate per-row embeddings into one vector per entity."""
+    normalize = TemporalConfig(**_given(options)).normalize
     names, grouped = read_embeddings(in_path)
     values = np.empty((len(grouped), len(names)), dtype=np.float64)
     for i, (entity, entries) in enumerate(grouped.items()):
@@ -127,7 +122,9 @@ def baseline(config_path, out_path):
     config = load_run_config(config_path)
     sources, entity_ids, labels = load_inputs(config, "baseline")
     with stage("baseline", items=len(entity_ids)):
-        matrix = build_baseline_features(sources, entity_ids, labels, config.max_categories)
+        matrix = build_baseline_features(
+            sources, entity_ids, labels, config.baseline.max_categories
+        )
     target = Path(out_path) if out_path else config.output_dir / "baseline_features.csv"
     target.parent.mkdir(parents=True, exist_ok=True)
     matrix.to_csv(target)

@@ -159,10 +159,12 @@ def to_dict(section: object) -> dict:
 
 def from_dict(cls: type, doc: object, where: str):
     """The inverse of :func:`to_dict`: a ``cls`` from the mapping ``doc``, read
-    by :func:`read_section` with a default ``cls()``'s fields as defaults."""
+    by :func:`read_section` with a default ``cls()``'s fields as defaults, each
+    value cast to its default's type but where that default is None."""
     values = read_section(doc, to_dict(cls()), where)
     try:
-        return cls(**{f.name: type(f.default)(values[f.name]) for f in fields(cls)})
+        return cls(**{f.name: values[f.name] if f.default is None
+                      else type(f.default)(values[f.name]) for f in fields(cls)})
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 

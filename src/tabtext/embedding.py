@@ -14,16 +14,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 import weakref
 from bisect import bisect_right
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
-from .errors import BackendError
+from .errors import BackendError, ValidationError
 
 DEFAULT_DIM = 768
 DEFAULT_MAX_CHARS = 510
@@ -36,6 +38,30 @@ MAX_DIM = 65536
 # to bytes >= 0x80 only, so it separates tokens as it does in the text.
 _TOKEN_BYTES = frozenset(b"abcdefghijklmnopqrstuvwxyz0123456789")
 _SEPARATE = bytes(c if c in _TOKEN_BYTES else ord(" ") for c in range(256))
+
+
+@dataclass(frozen=True)
+class EmbeddingConfig:
+    """The ``embedding`` section: the backend, its width and chunk length,
+    the service ``url`` of the remote backend, and an optional cache directory."""
+
+    backend: str = "hashing"
+    dim: int = DEFAULT_DIM
+    max_chars: int = DEFAULT_MAX_CHARS
+    url: Optional[str] = None
+    cache: Optional[Path] = None
+
+    def __post_init__(self):
+        if self.backend not in ("hashing", "remote"):
+            raise ValidationError(f"unknown backend '{self.backend}'")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValidationError(f"dim must be in [1, {MAX_DIM}], not {self.dim}")
+        if self.max_chars < 1:
+            raise ValidationError("max_chars must be positive")
+        if not isinstance(self.url, (str, type(None))):
+            raise ValidationError(f"'url' in embedding must be a string, not {self.url!r}")
+        if self.backend == "remote" and not self.url:
+            raise ValidationError("the remote backend requires a 'url'")
 
 
 def _tokens(text: str) -> list[bytes]:
@@ -91,8 +117,6 @@ class HashingBackend:
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, max_chars: int = DEFAULT_MAX_CHARS):
-        if dim < 1 or max_chars < 1:
-            raise ValueError("dim and max_chars must be positive")
         self.dim = dim
         self.max_chars = max_chars
         self.backend_id = f"hashing-d{dim}"
@@ -185,7 +209,7 @@ class CachingBackend:
     One sqlite3 file, ``embeddings.sqlite3``, per cache directory, in WAL mode
     so that concurrent processes can share it. A vector is stored as
     little-endian float64 bytes; a blob of another length is a miss and is
-    overwritten. Only misses reach the inner backend.
+    overwritten. Only misses reach the inner backend, each distinct text once.
     """
 
     FILE = "embeddings.sqlite3"
@@ -208,7 +232,11 @@ class CachingBackend:
             self._db = sqlite3.connect(self.path)
             # The connection sits in a reference cycle; close it with this object.
             weakref.finalize(self, self._db.close)
-            self._db.execute("PRAGMA journal_mode=WAL")
+            try:
+                self._db.execute("PRAGMA journal_mode=WAL")
+            except sqlite3.OperationalError:  # another process is switching the new file
+                time.sleep(0.1)
+                self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute(
                 "CREATE TABLE IF NOT EXISTS vectors (key TEXT PRIMARY KEY, vec BLOB NOT NULL)"
@@ -233,20 +261,21 @@ class CachingBackend:
                 query = f"SELECT key, vec FROM vectors WHERE key IN ({','.join('?' * len(part))})"
                 found.update(self._db.execute(query, part))
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        miss_idx: list[int] = []
+        missed: dict[str, list[int]] = {}  # key -> positions of its text
         for i, key in enumerate(keys):
             blob = found.get(key)
             if blob is not None and len(blob) == 8 * self.dim:
                 out[i] = np.frombuffer(blob, dtype="<f8")
             else:
-                miss_idx.append(i)
-        if miss_idx:
-            out[miss_idx] = self.inner.embed_batch([texts[i] for i in miss_idx])
-            fresh = out[miss_idx].astype("<f8")
+                missed.setdefault(key, []).append(i)
+        if missed:
+            fresh = self.inner.embed_batch([texts[at[0]] for at in missed.values()])
+            for at, row in zip(missed.values(), fresh):
+                out[at] = row
             with self._io(), self._db:
                 self._db.executemany(
                     "INSERT OR REPLACE INTO vectors VALUES (?, ?)",
-                    [(keys[i], row.tobytes()) for i, row in zip(miss_idx, fresh)],
+                    [(key, row.astype("<f8").tobytes()) for key, row in zip(missed, fresh)],
                 )
         return out
 
@@ -264,23 +293,13 @@ def embed_text(text: str, backend: EmbeddingBackend) -> np.ndarray:
     return backend.embed_batch(chunks).mean(axis=0)
 
 
-def make_backend(
-    name: str,
-    *,
-    dim: int = DEFAULT_DIM,
-    max_chars: int = DEFAULT_MAX_CHARS,
-    url: Optional[str] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> EmbeddingBackend:
-    """Construct a backend by name ('hashing', 'remote')."""
-    if name == "hashing":
-        backend: EmbeddingBackend = HashingBackend(dim=dim, max_chars=max_chars)
-    elif name == "remote":
-        if not url:
-            raise BackendError("remote backend requires a URL")
-        backend = RemoteBackend(url, dim=dim, max_chars=max_chars)
+def make_backend(config: EmbeddingConfig) -> EmbeddingBackend:
+    """The backend ``config`` names, behind a cache when it names one."""
+    size = {"dim": config.dim, "max_chars": config.max_chars}
+    if config.backend == "remote":
+        backend: EmbeddingBackend = RemoteBackend(config.url, **size)
     else:
-        raise BackendError(f"unknown backend '{name}'")
-    if cache_dir is not None:
-        backend = CachingBackend(backend, cache_dir)
+        backend = HashingBackend(**size)
+    if config.cache is not None:
+        backend = CachingBackend(backend, config.cache)
     return backend

@@ -9,23 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .baseline import FeatureMatrix, build_baseline_features
+from .baseline import BaselineConfig, FeatureMatrix, build_baseline_features
 from .data_model import Row, TableSchema, from_dict, group_rows, load_schema, parse_table
 from .data_model import read_section, to_dict
-from .embedding import (
-    DEFAULT_DIM,
-    DEFAULT_MAX_CHARS,
-    MAX_DIM,
-    EmbeddingBackend,
-    embed_text,
-    make_backend,
-)
+from .embedding import EmbeddingBackend, EmbeddingConfig, embed_text, make_backend
 from .errors import ValidationError, stage
 from .evaluation import (
     AblationReport,
@@ -36,7 +29,7 @@ from .evaluation import (
 )
 from .formats import load_labels, read_yaml
 from .serializer import CombineMode, SerializationConfig, serialize_row
-from .temporal import aggregate_entity
+from .temporal import TemporalConfig, aggregate_entity
 
 
 @dataclass(frozen=True)
@@ -46,57 +39,26 @@ class SourceConfig:
     schema: Path
 
 
-# The keys of the flat sections of a config file, each with the RunConfig
-# field it sets.
-FLAT_SECTIONS = {
-    "embedding": {"backend": "backend_name", "dim": "dim", "max_chars": "max_chars",
-                  "url": "backend_url", "cache": "cache_dir"},
-    "temporal": {"normalize": "normalize"},
-    "baseline": {"max_categories": "max_categories"},
-}
-
-
 @dataclass
 class RunConfig:
+    """One field per section of a config file, of its name; those between
+    ``labels`` and ``output_dir`` are dataclasses that check their values."""
+
     sources: list[SourceConfig]
     labels: Optional[Path]
-    serialization: SerializationConfig
-    backend_name: str = "hashing"
-    dim: int = DEFAULT_DIM
-    max_chars: int = DEFAULT_MAX_CHARS
-    cache_dir: Optional[Path] = None
-    backend_url: Optional[str] = None
-    normalize: bool = True
-    split: SplitSpec = field(default_factory=SplitSpec)
-    max_categories: int = 10
+    serialization: SerializationConfig = field(default_factory=SerializationConfig)
+    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
+    temporal: TemporalConfig = field(default_factory=TemporalConfig)
+    baseline: BaselineConfig = field(default_factory=BaselineConfig)
+    evaluation: SplitSpec = field(default_factory=SplitSpec)
     output_dir: Path = Path("out")
-
-    def validate(self) -> None:
-        if not self.sources:
-            raise ValidationError("'sources' lists no source")
-        names = [source.name for source in self.sources]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValidationError(f"source name {name!r} is repeated in 'sources'")
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValidationError(f"dim must be in [1, {MAX_DIM}], not {self.dim}")
-        if self.max_chars < 1:
-            raise ValidationError("max_chars must be positive")
-        if self.max_categories < 1:
-            raise ValidationError("max_categories must be >= 1")
-        if not isinstance(self.backend_url, (str, type(None))):
-            raise ValidationError(f"'url' in embedding must be a string, not {self.backend_url!r}")
 
     def sections(self) -> dict:
         """This config as the sections of a config file, paths as given."""
         return {
-            "sources": [{"name": s.name, "data": str(s.data), "schema": str(s.schema)}
-                        for s in self.sources],
+            "sources": [{k: str(v) for k, v in to_dict(s).items()} for s in self.sources],
             "labels": str(self.labels) if self.labels else None,
-            "serialization": to_dict(self.serialization),
-            "evaluation": to_dict(self.split),
-            **{name: {key: getattr(self, attr) for key, attr in keys.items()}
-               for name, keys in FLAT_SECTIONS.items()},
+            **{f.name: to_dict(getattr(self, f.name)) for f in fields(self)[2:-1]},
             "output_dir": str(self.output_dir),
         }
 
@@ -111,29 +73,21 @@ class RunConfig:
         blob = json.dumps(self.canonical(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def make_backend(self) -> EmbeddingBackend:
-        return make_backend(
-            self.backend_name,
-            dim=self.dim,
-            max_chars=self.max_chars,
-            url=self.backend_url,
-            cache_dir=self.cache_dir,
-        )
-
 
 def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
     """Load a YAML run config; relative paths resolve against the config file.
-    It holds keys of :meth:`RunConfig.sections`, read by :func:`read_section`;
-    an ``overrides`` value that is not None replaces the file's key of its name.
-    :func:`load_inputs` checks the values, before any stage runs."""
+    It holds keys of :meth:`RunConfig.sections`, and each section is read by
+    :func:`from_dict`, which checks its values; an ``overrides`` value that is
+    not None replaces the key of its name."""
     path = Path(path)
-    doc = read_yaml(path) or {}
-    known = RunConfig([], None, SerializationConfig()).sections()
-    doc = read_section(doc, known, str(path))
-    sections = {n: read_section(doc[n], known[n], n) for n in ("evaluation", *FLAT_SECTIONS)}
+    defaults = RunConfig([], None)
+    known = defaults.sections()
+    doc = read_section(read_yaml(path) or {}, known, str(path))
+    sections = [name for name, value in known.items() if isinstance(value, dict)]
     for key, value in overrides.items():
         if value is not None:
-            next(s for s in sections.values() if key in s)[key] = value
+            name = next(name for name in sections if key in known[name])
+            doc[name] = {**doc[name], key: value}
 
     def resolve(value: object, key: str) -> Optional[Path]:
         if value is not None and not (value and isinstance(value, str)):
@@ -147,25 +101,28 @@ def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
             raise ValidationError("an item of sources needs 'data' and 'schema'")
         data, schema = resolve(s["data"], "data"), resolve(s["schema"], "schema")
         sources.append(SourceConfig(s.get("name") or data.stem, data, schema))
-    flat = {a: sections[n][k] for n, keys in FLAT_SECTIONS.items() for k, a in keys.items()}
-    flat["cache_dir"] = resolve(flat["cache_dir"], "cache")
+    cache = doc["embedding"].get("cache")
+    doc["embedding"] = {**doc["embedding"], "cache": resolve(cache, "cache")}
     return RunConfig(
         sources=sources,
         labels=resolve(doc["labels"], "labels"),
-        serialization=from_dict(SerializationConfig, doc["serialization"], "serialization"),
-        split=from_dict(SplitSpec, sections["evaluation"], "evaluation"),
+        **{name: from_dict(type(getattr(defaults, name)), doc[name], name) for name in sections},
         output_dir=resolve(doc["output_dir"], "output_dir"),
-        **flat,
     )
 
 
 def load_inputs(
     config: RunConfig, command: str
 ) -> tuple[list[tuple[str, TableSchema, list[Row]]], list[str], dict[str, int]]:
-    """Validate ``config``, then parse its sources and its labels file, which
-    ``command`` requires: (sources as (name, schema, rows), entity ids,
+    """Check the sources and the labels file of ``config``, which ``command``
+    requires, then parse them: (sources as (name, schema, rows), entity ids,
     labels by entity)."""
-    config.validate()
+    if not config.sources:
+        raise ValidationError("'sources' lists no source")
+    names = [source.name for source in config.sources]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValidationError(f"source name {name!r} is repeated in 'sources'")
     if config.labels is None:
         raise ValidationError(f"{command} requires a labels file")
     with stage("parse"):
@@ -253,20 +210,20 @@ def run_compare(config: RunConfig) -> dict:
     sources, entity_ids, labels = load_inputs(config, "compare")
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    backend = config.make_backend()
+    backend = make_backend(config.embedding)
 
     with stage("features", items=len(entity_ids)):
         tabtext = build_tabtext_features(
-            sources, entity_ids, labels, config.serialization, backend, config.normalize
+            sources, entity_ids, labels, config.serialization, backend, config.temporal.normalize
         )
     with stage("baseline", items=len(entity_ids)):
         base = build_baseline_features(
-            sources, entity_ids, labels, config.max_categories
+            sources, entity_ids, labels, config.baseline.max_categories
         )
 
     with stage("evaluate"):
-        tab_mean, tab_sd, shash = evaluate_features(tabtext, config.split)
-        base_mean, base_sd, _ = evaluate_features(base, config.split)
+        tab_mean, tab_sd, shash = evaluate_features(tabtext, config.evaluation)
+        base_mean, base_sd, _ = evaluate_features(base, config.evaluation)
 
     tabtext_path = out / "tabtext_features.csv"
     base_path = out / "baseline_features.csv"
@@ -304,15 +261,15 @@ def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
     sources, entity_ids, labels = load_inputs(config, "ablation")
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    backend = config.make_backend()
+    backend = make_backend(config.embedding)
 
     def builder(point: SerializationConfig) -> FeatureMatrix:
         return build_tabtext_features(
-            sources, entity_ids, labels, point, backend, config.normalize
+            sources, entity_ids, labels, point, backend, config.temporal.normalize
         )
 
     with stage("ablate", items=len(grid_points(extended))):
-        report = run_ablation(builder, config.split, extended)
+        report = run_ablation(builder, config.evaluation, extended)
 
     (out / "ablation_report.txt").write_text(report.render(), encoding="utf-8")
     (out / "ablation_report.json").write_text(

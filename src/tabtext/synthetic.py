@@ -21,6 +21,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import ValidationError
+
 SIGNAL_WORDS = (
     "septic shock",
     "cardiac arrest",
@@ -54,9 +56,12 @@ class CorpusSpec:
     informative_missingness: bool = False
 
     def __post_init__(self):
-        for rate in (self.positive_rate, self.missingness_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"rate {rate} outside [0, 1]")
+        for name in ("seed", "n_entities"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
+        for name in ("positive_rate", "missingness_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValidationError(f"{name} must be in [0, 1], not {getattr(self, name)}")
 
 
 DEMOGRAPHICS_SCHEMA = {

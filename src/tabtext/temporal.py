@@ -7,12 +7,20 @@ the ``normalize`` flag.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .serializer import CombineMode
+
+
+@dataclass(frozen=True)
+class TemporalConfig:
+    """The ``temporal`` section: whether :func:`aggregate_timed` divides by the weight sum."""
+
+    normalize: bool = True
 
 
 def aggregate_timed(

@@ -208,7 +208,7 @@ def _compare_on_corpus(corpus: Path, out_dir: Path, seed: int = 0) -> dict:
         ],
         labels=corpus / "labels.csv",
         serialization=SerializationConfig(missing_policy=MissingPolicy.ENCODE_MISSING),
-        split=SplitSpec(seed=seed),
+        evaluation=SplitSpec(seed=seed),
         output_dir=out_dir,
     )
     return run_compare(config)

@@ -128,13 +128,6 @@ def test_missing_schema_path_is_validation_error(corpus, tmp_path):
     assert main(["compare", "--config", str(config)]) == 1
 
 
-def test_unknown_backend_is_backend_error(corpus, tmp_path):
-    config = write_config(
-        corpus, tmp_path / "out", embedding={"backend": "quantum", "dim": 8}
-    )
-    assert main(["compare", "--config", str(config)]) == 3
-
-
 @pytest.mark.parametrize("command", ["compare", "ablate"])
 def test_unreachable_remote_backend_exit_code(corpus, tmp_path, command, capsys):
     config = write_config(
@@ -198,19 +191,18 @@ SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] /
         ("gen-corpus", "--n-entities", "-1"),
     ],
 )
-def test_out_of_range_flag_is_usage_error(tmp_path, command, flag, value):
+def test_out_of_range_flag_is_usage_error(tmp_path, command, flag, value, capsys):
+    # The input is not a sentence file: the flag is checked before it is read.
     sentences = tmp_path / "sentences.tsv"
     sentences.write_text("p1\tfine\n")
     args = ["--out", str(tmp_path / "out")]
     if command == "embed":
         args += ["--in", str(sentences)]
-    result = subprocess.run(
-        [sys.executable, "-m", "tabtext.cli", command, *args, flag, value],
-        capture_output=True, text=True, env=SRC_ENV,
-    )
-    assert result.returncode == 1
-    assert f"Invalid value for '{flag}'" in result.stderr
-    assert "Traceback" not in result.stderr
+    assert main([command, *args, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and flag[2:].replace("-", "_") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def modules_loaded_by_import(names):
@@ -655,6 +647,8 @@ BAD_VALUES = [
     ({"evaluation": {"repeats": 0}}, "repeats"),
     ({"sources": []}, "sources"),
     ({"embedding": {"backend": "remote", "url": 5}}, "url"),
+    ({"embedding": {"backend": "quantum"}}, "quantum"),
+    ({"embedding": {"backend": "remote"}}, "remote"),
     ({"sources": [{"name": "demo", "data": f"{n}.csv", "schema": f"{n}.schema.yaml"}
                   for n in ("demographics", "vitals")]}, "demo"),
 ]
@@ -669,7 +663,7 @@ def test_config_value_out_of_range_is_validation_error(corpus, tmp_path, overrid
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "compare", "ablate", "config"])
+@pytest.mark.parametrize("command", ["eval", "compare", "ablate", "config", "gen-corpus"])
 def test_negative_seed_is_validation_error(corpus, tmp_path, command, capsys):
     features = tmp_path / "features.csv"
     features.write_text("entity_id,label,f0\np1,1,0.5\np2,0,0.1\np3,1,0.7\np4,0,0.2\n")
@@ -681,6 +675,7 @@ def test_negative_seed_is_validation_error(corpus, tmp_path, command, capsys):
         "compare": ["compare", "--config", config, "--seed", "-1"],
         "ablate": ["ablate", "--config", config, "--seed", "-2"],
         "config": ["compare", "--config", config],
+        "gen-corpus": ["gen-corpus", "--out", str(tmp_path / "out"), "--seed", "-1"],
     }[command]
     assert main(args) == 1
     err = capsys.readouterr().err
@@ -694,7 +689,7 @@ def test_dim_above_the_ceiling_is_validation_error(corpus, tmp_path):
     with pytest.raises(ValidationError, match=r"^dim must be in \[1, 65536\], not 65537$"):
         load_inputs(load_run_config(config), "compare")
     config = write_config(corpus, tmp_path / "out", embedding={"dim": 65536})
-    load_run_config(config).validate()
+    assert load_run_config(config).embedding.dim == 65536
 
 
 def test_embed_dim_above_the_ceiling_is_usage_error(tmp_path, capsys):
@@ -702,8 +697,33 @@ def test_embed_dim_above_the_ceiling_is_usage_error(tmp_path, capsys):
     sentences.write_text("p1\t1.0\tfine\n")
     out = tmp_path / "emb.csv"
     assert main(["embed", "--in", str(sentences), "--out", str(out), "--dim", "65537"]) == 1
-    assert "Invalid value for '--dim'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "validation error: dim must be in [1, 65536], not 65537\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("dim", 65537), ("max_chars", 0)])
+def test_flag_and_config_key_print_the_same_rule(corpus, tmp_path, key, value, capsys):
+    """One rule per setting: the embed flag and the config key of a setting
+    fail with the same line."""
+    sentences = tmp_path / "s.tsv"
+    sentences.write_text("p1\t1.0\tfine\n")
+    flag = "--" + key.replace("_", "-")
+    args = ["embed", "--in", str(sentences), "--out", str(tmp_path / "emb.csv"), flag, str(value)]
+    assert main(args) == 1
+    from_flag = capsys.readouterr().err
+    config = write_config(corpus, tmp_path / "out", embedding={key: value})
+    assert main(["compare", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == from_flag
+    assert from_flag.startswith(f"validation error: {key} must be") and from_flag.count("\n") == 1
+
+
+def test_embed_unknown_backend_is_validation_error(tmp_path, capsys):
+    sentences = tmp_path / "s.tsv"
+    sentences.write_text("p1\t1.0\tfine\n")
+    args = ["--in", str(sentences), "--out", str(tmp_path / "emb.csv")]
+    assert main(["embed", *args, "--cache", str(tmp_path / "c"), "--backend", "quantum"]) == 1
+    assert capsys.readouterr().err == "validation error: unknown backend 'quantum'\n"
+    assert not (tmp_path / "emb.csv").exists() and not (tmp_path / "c").exists()
 
 
 def test_labels_file_without_entity_is_validation_error(corpus, tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import sqlite3
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from tabtext.embedding import (
     CachingBackend,
+    EmbeddingConfig,
     HashingBackend,
     RemoteBackend,
     chunk_text,
     embed_text,
     make_backend,
 )
-from tabtext.errors import BackendError
+from tabtext.errors import BackendError, ValidationError
 
 
 class StubBackend:
@@ -205,6 +207,47 @@ class TestCachingBackend:
         np.testing.assert_array_equal(cached.embed_batch(texts), StubBackend().embed_batch(texts))
         assert sorted(misses) == [f"n{i}" for i in range(10, 17)]
 
+    def test_repeated_missed_text_reaches_the_inner_backend_once(self, tmp_path):
+        inner = StubBackend()
+        received = []
+
+        def vector(text):
+            received.append(text)
+            return StubBackend.vector(inner, text)
+
+        inner.vector = vector
+        cached = CachingBackend(inner, tmp_path)
+        texts = ["a", "b"] * 500
+        got = cached.embed_batch(texts)
+        assert received == ["a", "b"]
+        # Each position holds what embedding every text on its own gives.
+        np.testing.assert_array_equal(got, StubBackend().embed_batch(texts))
+        with contextlib.closing(sqlite3.connect(tmp_path / CachingBackend.FILE)) as db:
+            assert db.execute("SELECT COUNT(*) FROM vectors").fetchone() == (2,)
+        mixed = ["c", "a", "c", "b", "c"]
+        np.testing.assert_array_equal(cached.embed_batch(mixed), StubBackend().embed_batch(mixed))
+        assert received == ["a", "b", "c"]
+
+    def test_switch_to_wal_that_is_locked_once_is_retried(self, tmp_path, monkeypatch):
+        # sqlite fails one of two processes that switch a new file to WAL at
+        # once with "database is locked", without calling the busy handler.
+        failed = []
+
+        class FirstSwitchIsLocked(sqlite3.Connection):
+            def execute(self, sql, *args):
+                if sql == "PRAGMA journal_mode=WAL" and not failed:
+                    failed.append(sql)
+                    raise sqlite3.OperationalError("database is locked")
+                return super().execute(sql, *args)
+
+        monkeypatch.setattr(sqlite3, "connect", partial(sqlite3.connect, factory=FirstSwitchIsLocked))
+        cached = CachingBackend(StubBackend(), tmp_path)
+        monkeypatch.undo()
+        assert failed
+        with contextlib.closing(sqlite3.connect(tmp_path / CachingBackend.FILE)) as db:
+            assert db.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert cached.embed_batch(["one"]).shape == (1, 8)
+
     @pytest.mark.parametrize(
         "damage", [lambda b: b[:-1], lambda b: b[:8], lambda b: b + b, lambda b: b""],
         ids=["one-byte-short", "one-value", "twice-as-long", "empty"],
@@ -376,15 +419,17 @@ class TestRemoteBackend:
 
 class TestMakeBackend:
     def test_hashing_with_cache(self, tmp_path):
-        backend = make_backend("hashing", dim=16, cache_dir=tmp_path / "c")
+        backend = make_backend(EmbeddingConfig(dim=16, cache=tmp_path / "c"))
         assert isinstance(backend, CachingBackend)
         assert backend.dim == 16
 
     def test_unknown_backend(self):
         for name in ("quantum", "local"):
-            with pytest.raises(BackendError, match=f"unknown backend '{name}'"):
-                make_backend(name)
+            with pytest.raises(ValidationError, match=f"^unknown backend '{name}'$"):
+                EmbeddingConfig(backend=name)
 
     def test_remote_requires_url(self):
-        with pytest.raises(BackendError):
-            make_backend("remote")
+        for url in (None, ""):
+            with pytest.raises(ValidationError, match="^the remote backend requires a 'url'$"):
+                EmbeddingConfig(backend="remote", url=url)
+        assert isinstance(make_backend(EmbeddingConfig("remote", url="http://x")), RemoteBackend)

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import yaml
 
 from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema
-from tabtext.embedding import HashingBackend
+from tabtext.embedding import EmbeddingConfig, HashingBackend
 from tabtext.errors import ValidationError
 from tabtext.evaluation import SplitSpec
 from tabtext.pipeline import (
@@ -182,13 +183,25 @@ def test_config_hash_is_stable():
             include_meta=False,
             combine_sources=CombineMode.SINGLE_PARAGRAPH,
         ),
-        dim=64,
-        split=SplitSpec(train_fraction=0.75, seed=4, stratified=False, repeats=3),
+        embedding=EmbeddingConfig(dim=64),
+        evaluation=SplitSpec(train_fraction=0.75, seed=4, stratified=False, repeats=3),
     )
     assert config.config_hash() == "03981f0721dc5161"
 
 
 DEFAULT_CONFIG = RunConfig([], None, SerializationConfig())
+
+
+def test_each_config_section_is_declared_once():
+    """A RunConfig field per section of a config file, of the same name, and
+    a field of the section's dataclass per key of the section: no table maps
+    one name onto another."""
+    doc = DEFAULT_CONFIG.sections()
+    assert [f.name for f in fields(RunConfig)] == list(doc)
+    sections = [f.name for f in fields(RunConfig) if is_dataclass(getattr(DEFAULT_CONFIG, f.name))]
+    assert sections == ["serialization", "embedding", "temporal", "baseline", "evaluation"]
+    for name in sections:
+        assert [f.name for f in fields(getattr(DEFAULT_CONFIG, name))] == list(doc[name])
 
 
 def test_config_file_at_the_defaults_loads_to_the_default_config(tmp_path):

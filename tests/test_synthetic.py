@@ -7,6 +7,7 @@ import pytest
 
 from tabtext.data_model import load_schema, parse_table
 from tabtext.embedding import HashingBackend
+from tabtext.errors import ValidationError
 from tabtext.evaluation import SplitSpec, auroc, evaluate_features
 from tabtext.pipeline import build_tabtext_features, load_labels
 from tabtext.serializer import SerializationConfig
@@ -112,8 +113,15 @@ class TestGenerate:
         assert got == digests
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^positive_rate must be in \[0, 1\], not 1.5$"):
             CorpusSpec(positive_rate=1.5)
+        with pytest.raises(ValidationError, match=r"^missingness_rate must be in \[0, 1\]"):
+            CorpusSpec(missingness_rate=-0.1)
+        with pytest.raises(ValidationError, match="^n_entities must be >= 0$"):
+            CorpusSpec(n_entities=-1)
+        with pytest.raises(ValidationError, match="^seed must be >= 0$"):
+            CorpusSpec(seed=-1)
+        CorpusSpec(n_entities=0, positive_rate=0, missingness_rate=1)
 
 
 class TestOracle:
