@@ -24,11 +24,7 @@ class BackendError(TabTextError):
 
 
 class StageError(TabTextError):
-    """A pipeline stage failed; carries stage context for the CLI."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"stage '{stage}': {message}")
-        self.stage = stage
+    """A pipeline stage failed; the message names the stage."""
 
 
 @contextmanager
@@ -41,7 +37,7 @@ def stage(name: str, items: Optional[int] = None):
     except TabTextError:
         raise
     except Exception as exc:
-        raise StageError(name, str(exc)) from exc
+        raise StageError(f"stage '{name}': {exc}") from exc
     elapsed = time.perf_counter() - start
     suffix = f", {items} items" if items is not None else ""
     log.info("stage %s done in %.2fs%s", name, elapsed, suffix)

@@ -77,17 +77,16 @@ class RunConfig:
 def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
     """Load a YAML run config; relative paths resolve against the config file.
     It holds keys of :meth:`RunConfig.sections`, and each section is read by
-    :func:`from_dict`, which checks its values; an ``overrides`` value that is
-    not None replaces the key of its name."""
+    :func:`from_dict`, which checks its values; an ``overrides`` value
+    replaces the key of its name."""
     path = Path(path)
     defaults = RunConfig([], None)
     known = defaults.sections()
     doc = read_section(read_yaml(path) or {}, known, str(path))
     sections = [name for name, value in known.items() if isinstance(value, dict)]
     for key, value in overrides.items():
-        if value is not None:
-            name = next(name for name in sections if key in known[name])
-            doc[name] = {**doc[name], key: value}
+        name = next(name for name in sections if key in known[name])
+        doc[name] = {**doc[name], key: value}
 
     def resolve(value: object, key: str) -> Optional[Path]:
         if value is not None and not (value and isinstance(value, str)):

@@ -172,6 +172,41 @@ def test_bad_flag_usage_is_validation_error():
     assert main(["eval"]) == 1
 
 
+USAGE_FAULTS = {
+    "no-command": ([], "COMMAND"),
+    "unknown-command": (["bogus"], "'bogus'"),
+    "unknown-flag": (["compare", "--config", "run.yaml", "--sead", "1"], "--sead"),
+    "missing-required-flag": (["eval"], "--features"),
+    "abbreviated-flag": (["eval", "--feat", "f.csv"], "--features"),
+    "value-of-the-wrong-type": (["embed", "--in", "s.tsv", "--out", "e.csv", "--dim", "x"],
+                                "--dim"),
+    "value-not-a-choice": (["serialize", "--data", "d.csv", "--schema", "d.yaml", "--out",
+                            "s.tsv", "--missing-policy", "bogus"], "--missing-policy"),
+}
+
+
+@pytest.mark.parametrize("argv, named", USAGE_FAULTS.values(), ids=list(USAGE_FAULTS))
+def test_usage_fault_is_one_validation_error_line(tmp_path, monkeypatch, argv, named, capsys):
+    """A fault in the command line itself takes the exit-1 path of any other
+    bad input: one line naming the fault, no usage text, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("validation error: ") and named in err
+    assert "Usage:" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [None, "gen-corpus", "serialize", "embed", "aggregate",
+                                     "baseline", "eval", "ablate", "compare"])
+def test_help_exits_0_with_the_usage_on_stdout(command, capsys):
+    assert main(["--help"] if command is None else [command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(filter(None, ["usage: tabtext", command])) + " [-h]")
+    assert err == ""
+
+
 def test_baseline_without_labels_is_validation_error(corpus, tmp_path, capsys):
     config = write_config(corpus, tmp_path / "out", labels=None)
     assert main(["baseline", "--config", str(config)]) == 1

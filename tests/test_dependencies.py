@@ -1,4 +1,4 @@
-"""The runtime dependencies stay numpy, click and pyyaml, in the package
+"""The runtime dependencies stay numpy and pyyaml, in the package
 metadata and in what the source imports."""
 import ast
 import sys
@@ -7,13 +7,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNTIME = {"numpy", "click", "yaml"}
+RUNTIME = {"numpy", "yaml"}
 
 
-def test_declared_dependencies_are_numpy_click_and_pyyaml():
+def test_declared_dependencies_are_numpy_and_pyyaml():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    assert sorted(project["dependencies"]) == ["click", "numpy", "pyyaml"]
+    assert sorted(project["dependencies"]) == ["numpy", "pyyaml"]
 
 
 def test_source_imports_only_the_stdlib_and_the_runtime_dependencies():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from tabtext.cli import main
 from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema
 from tabtext.embedding import EmbeddingConfig, HashingBackend
 from tabtext.errors import ValidationError
@@ -242,3 +243,32 @@ def test_readme_run_configuration_lists_every_key():
     doc = yaml.safe_load(re.sub(r"^(\s*)# (\w+:)", r"\1\2", block, flags=re.M))
     source = SourceConfig("name", Path("data.csv"), Path("schema.yaml"))
     assert config_keys(doc) == config_keys(RunConfig([source], None, SerializationConfig()).sections())
+
+
+CLI_COMMANDS = ["gen-corpus", "serialize", "embed", "aggregate", "baseline", "eval", "ablate",
+                "compare"]
+FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def readme_cli_flags() -> dict[str, set[str]]:
+    """The --flags of each command in the block under *CLI* in README.md,
+    where a command's line goes on over the indented lines after it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    flags = {}
+    for line in block.splitlines():
+        if line.startswith("tabtext "):
+            command = line.split()[1]
+        flags.setdefault(command, set()).update(FLAG.findall(line))
+    return flags
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_readme_cli_lists_every_flag(command, capsys):
+    """The README's CLI block names each flag that the command's --help
+    prints but --help itself, and no other."""
+    assert main([command, "--help"]) == 0
+    printed = set(FLAG.findall(capsys.readouterr().out)) - {"--help"}
+    flags = readme_cli_flags()
+    assert list(flags) == CLI_COMMANDS
+    assert flags[command] == printed
