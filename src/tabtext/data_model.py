@@ -208,11 +208,12 @@ def parse_table(path: PathLike, schema: TableSchema) -> list[Row]:
     """Parse the CSV file at ``path``, read by :func:`~tabtext.formats.read_csv`,
     into typed rows.
 
-    The header names each schema column once. Fields whose lowercased value
-    is in ``MISSING_TOKENS`` become missing cells that keep the original
-    token. Numeric parsing is attempted for every field; ``parsed`` is set
-    only when the value is a finite number. A cell is frozen and depends only
-    on its text, so one call makes one cell per distinct text and shares it.
+    The header names each schema column once, and every row has a non-empty
+    entity id. Fields whose lowercased value is in ``MISSING_TOKENS`` become
+    missing cells that keep the original token. Numeric parsing is attempted
+    for every field; ``parsed`` is set only when the value is a finite number.
+    A cell is frozen and depends only on its text, so one call makes one cell
+    per distinct text and shares it.
     """
     records = read_csv(path, 1)
     _, header = next(records)
@@ -228,6 +229,8 @@ def parse_table(path: PathLike, schema: TableSchema) -> list[Row]:
     for line, record in records:
         cells = {name: memo[record[position]] for name, position in positions}
         entity_id = cells[schema.entity_column].raw
+        if not entity_id:
+            raise _invalid(path, line, f"empty entity id in column '{schema.entity_column}'")
         timestamp = None
         if schema.time_column is not None:
             tcell = cells[schema.time_column]

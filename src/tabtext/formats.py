@@ -229,13 +229,16 @@ def read_features(path: PathLike) -> tuple[list, list, np.ndarray, Optional[np.n
 
 def load_labels(path: PathLike) -> tuple[list[str], dict[str, int]]:
     """Read the entity_id,label file; entity order is file order. It lists
-    at least one entity, and every entity once with a label of 0 or 1; any
-    other line is a ValidationError that names its line number."""
+    at least one entity, and every entity once, by a non-empty id, with a
+    label of 0 or 1; any other line is a ValidationError that names its line
+    number."""
     records = read_csv(path, 2)
     if len(next(records)[1]) != 2:
         raise _invalid(path, 1, "expected the header entity_id,label")
     labels: dict[str, int] = {}
     for line, (entity, label) in records:
+        if not entity:
+            raise _invalid(path, line, "empty entity id")
         if entity in labels:
             raise _invalid(path, line, f"duplicate entity '{entity}'")
         labels[entity] = _label(path, line, label)

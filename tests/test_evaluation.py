@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -339,10 +341,16 @@ class TestActiveColumnFit:
         y[:2] = [0, 1]
         mean, scale, _, _ = reference_fit(values[train], y, steps=0)
         active = np.flatnonzero(scale > 0)
-        Xs = (values[train][:, active] - mean[active]) / scale[active]
+        # The fit and the scores read a float32 column-major standardized copy.
+        def standardized(part):
+            return ((values[part][:, active] - mean[active]) / scale[active]).astype(
+                np.float32, order="F"
+            )
+
         weights = np.zeros(width)
-        weights[active], bias = _logistic_gd(Xs, y.astype(np.float64), 500, 0.1, 1e-4)
-        scores = (values[test][:, active] - mean[active]) / scale[active] @ weights[active] + bias
+        weights[active], bias = _logistic_gd(standardized(train), y.astype(np.float64),
+                                             500, 0.1, 1e-4)
+        scores = standardized(test) @ weights[active] + bias
 
         model = fit_linear_classifier(values, y, rows=train)
         assert model.feature_mean.tobytes() == mean.tobytes()
@@ -360,6 +368,21 @@ class TestActiveColumnFit:
         huge = T.copy()
         huge[:, ignored] = np.finfo(np.float64).max
         assert model.scores(huge).tobytes() == model.scores(T).tobytes()
+
+    def test_outlying_row_overflows_no_sigmoid(self):
+        # Row 0 scores near -140 at the end of the fit, past the -88.7 where
+        # a float32 exp(-z) overflows.
+        y = np.repeat([0, 1], 40)
+        rng = np.random.default_rng(0)
+        X = (2 * y - 1)[:, None] + 0.01 * rng.normal(size=(80, 400))
+        X[0] = -1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = fit_linear_classifier(X, y)
+            scores = model.scores(X)
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
+        assert auroc(scores, y) == 1.0
+        assert scores.min() < -100
 
 
 class TestGridPoints:

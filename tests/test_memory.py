@@ -58,8 +58,9 @@ def test_building_features_holds_one_matrix(inputs):
 
 def test_evaluating_features_copies_no_full_width_matrix(inputs):
     features = build(inputs, HashingBackend())
+    evaluate_features(features, SplitSpec(seed=0))  # leaves out numpy.random's one-off set-up
     _, peak = traced_peak(lambda: evaluate_features(features, SplitSpec(seed=0)))
-    assert peak <= 0.75 * features.values.nbytes
+    assert peak <= 0.32 * features.values.nbytes
 
 
 def test_reading_the_feature_csv_holds_one_matrix(inputs, tmp_path):
