@@ -21,12 +21,7 @@ from .errors import BackendError, TabTextError, ValidationError, stage
 from .evaluation import SplitSpec, evaluate_features
 from .formats import read_embeddings, read_sentences, write_embeddings, write_sentences
 from .pipeline import load_inputs, load_run_config, parse_table, run_compare, run_grid
-from .serializer import (
-    CombineMode,
-    MissingPolicy,
-    SerializationConfig,
-    serialize_row,
-)
+from .serializer import MissingPolicy, SerializationConfig, serialize_row
 from .temporal import TemporalConfig, aggregate_entity
 
 
@@ -65,7 +60,7 @@ def aggregate(in_path, out_path, **options):
     names, grouped = read_embeddings(in_path)
     values = np.empty((len(grouped), len(names)), dtype=np.float64)
     for i, (entity, entries) in enumerate(grouped.items()):
-        values[i] = aggregate_entity([(in_path, entries)], CombineMode.SEPARATE, normalize, entity)
+        values[i] = aggregate_entity([(in_path, entries)], normalize, entity)[0]
     matrix = FeatureMatrix(entity_ids=list(grouped), feature_names=names, values=values)
     matrix.to_csv(out_path)
     print(f"wrote {len(grouped)} entity vectors to {out_path}")
@@ -147,7 +142,6 @@ def _parser() -> _Parser:
     flag("--meta", dest="include_meta", action=argparse.BooleanOptionalAction)
     flag("--descriptive", action="store_const", const=True)
     flag("--terse", dest="descriptive", action="store_const", const=False)
-    flag("--combine", dest="combine_sources", choices=[m.value for m in CombineMode])
     flag = command(embed, "embed")
     flag("--in", dest="in_path", required=True)
     flag("--out", dest="out_path", required=True)

@@ -134,6 +134,16 @@ def _logistic_gd(
 # each of which copies one float64 block of the rows at a time (0.8 MB at
 # 1,600 rows), never the whole matrix.
 MOMENT_BLOCK = 64
+# The classifier's gradient descent: iterations, step size and L2 weight.
+GD_STEPS, GD_LR, GD_L2 = 500, 0.1, 1e-4
+
+
+class _ColumnOverflow(ValidationError):
+    """A column too large to standardize; :func:`evaluate_features` names it."""
+
+    def __init__(self, column: int):
+        super().__init__(f"feature column {column} overflows when standardized")
+        self.column = column
 
 
 @dataclass
@@ -158,16 +168,23 @@ def _standardize_active(
     those columns of the rows ``rows`` alone; no other cell is read. Each
     block of ``MOMENT_BLOCK`` columns is standardized in float64 and written
     into a float32 column-major copy, so no float64 copy of the whole is made.
-    The low bits of the GD products depend on the layout."""
+    The low bits of the GD products depend on the layout. A value that
+    overflows float64 or float32 on the way raises :class:`_ColumnOverflow`."""
     active = np.flatnonzero(scale > 0)
     X = np.asarray(X, dtype=np.float64)
     Xs = np.empty((len(X) if rows is None else len(rows), len(active)), np.float32, order="F")
     for start in range(0, len(active), MOMENT_BLOCK):
         cols = active[start : start + MOMENT_BLOCK]
         block = X[:, cols] if rows is None else X[np.ix_(rows, cols)]
-        block -= mean[cols]
-        block /= scale[cols]
-        Xs[:, start : start + len(cols)] = block
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                block -= mean[cols]
+                block /= scale[cols]
+                Xs[:, start : start + len(cols)] = block
+        except FloatingPointError:
+            # numpy raises after the step that overflowed wrote its result.
+            beyond = ~(np.abs(block) <= np.finfo(np.float32).max).all(axis=0)
+            raise _ColumnOverflow(int(cols[beyond.argmax()])) from None
     return active, Xs
 
 
@@ -177,31 +194,29 @@ def _column_moments(
     """``X[rows].mean(axis=0)`` and ``X[rows].std(axis=0)`` to the bit, one
     block of columns at a time. An axis-0 reduction sums each column row by
     row, but a block of one column would be summed pairwise, so a last block
-    of one column joins the block before it."""
+    of one column joins the block before it. A column whose mean or sd
+    overflows, which makes its sd inf or nan, raises :class:`_ColumnOverflow`."""
     width = X.shape[1]
     mean, std = np.empty(width), np.empty(width)
     start = 0
-    while start < width:
-        stop = width if width - start <= MOMENT_BLOCK + 1 else start + MOMENT_BLOCK
-        block = X[:, start:stop] if rows is None else X[rows, start:stop]
-        mean[start:stop] = block.mean(axis=0)
-        std[start:stop] = block.std(axis=0)
-        start = stop
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < width:
+            stop = width if width - start <= MOMENT_BLOCK + 1 else start + MOMENT_BLOCK
+            block = X[:, start:stop] if rows is None else X[rows, start:stop]
+            mean[start:stop] = block.mean(axis=0)
+            std[start:stop] = block.std(axis=0)
+            start = stop
+    if not np.isfinite(std).all():
+        raise _ColumnOverflow(int(np.argmin(np.isfinite(std))))
     return mean, std
 
 
 def fit_linear_classifier(
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: Optional[Sequence[int]] = None,
-    *,
-    steps: int = 500,
-    lr: float = 0.1,
-    l2: float = 1e-4,
+    X: np.ndarray, y: np.ndarray, rows: Optional[Sequence[int]] = None
 ) -> LinearClassifier:
     """Fit the built-in classifier on the training rows ``rows`` of ``X``
-    (None for every row) and their 0/1 labels ``y``: zero init, fixed step,
-    L2, 500 iterations. ``X`` is read in place and never copied whole.
+    (None for every row) and their 0/1 labels ``y``: zero init, then
+    ``GD_STEPS`` fixed steps. ``X`` is read in place and never copied whole.
 
     Features are standardized internally by train-set mean/std; gradient
     descent runs in float32 on the columns that vary, and a zero-variance
@@ -215,7 +230,7 @@ def fit_linear_classifier(
     scale = np.where(std > 0, std, 0.0)
     active, Xs = _standardize_active(X, rows, mean, scale)
     w = np.zeros(X.shape[1], dtype=np.float64)
-    w[active], b = _logistic_gd(Xs, y, steps, lr, l2)
+    w[active], b = _logistic_gd(Xs, y, GD_STEPS, GD_LR, GD_L2)
     return LinearClassifier(weights=w, bias=b, feature_mean=mean, feature_scale=scale)
 
 
@@ -317,7 +332,8 @@ def evaluate_features(
     each of the ``spec.repeats`` seeds from ``spec.seed``: the mean and the
     sample sd (None for one split) of test AUROC, and the split hash of the
     first seed. A split part without both classes is a ValidationError naming
-    ``train_fraction`` and the seed."""
+    ``train_fraction`` and the seed, and a feature too large to standardize
+    one naming the feature and the seed."""
     if features.labels is None:
         raise ValidationError("evaluation requires labels")
     aurocs = []
@@ -332,8 +348,14 @@ def evaluate_features(
                     f"{' or '.join(map(str, absent))} in the {part} part of the split "
                     f"with seed {seed}"
                 )
-        model = fit_linear_classifier(features.values, features.labels[train_idx], train_idx)
-        scores = model.scores(features.values, test_idx)
+        try:
+            model = fit_linear_classifier(features.values, features.labels[train_idx], train_idx)
+            scores = model.scores(features.values, test_idx)
+        except _ColumnOverflow as exc:
+            raise ValidationError(
+                f"feature '{features.feature_names[exc.column]}' overflows when "
+                f"standardized in the split with seed {seed}"
+            ) from None
         aurocs.append(auroc(scores, features.labels[test_idx]))
         if seed == spec.seed:
             first_hash = split_hash([features.entity_ids[i] for i in test_idx])

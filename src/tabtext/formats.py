@@ -4,7 +4,8 @@ the sentence TSV (serialize -> embed), the embedding CSV (embed -> aggregate)
 and the feature CSV (aggregate, baseline, compare -> eval). Each CSV is read
 through :func:`read_csv`; a bad line is a ValidationError naming the file and
 the line, and a file that is missing, is not a file or is not UTF-8 text is a
-ValidationError naming the file.
+ValidationError naming the file. A leading UTF-8 byte order mark is dropped
+from every CSV and from the sentence TSV.
 """
 from __future__ import annotations
 
@@ -88,7 +89,7 @@ def write_sentences(path: PathLike, records: Iterable[tuple[str, Optional[float]
 def read_sentences(path: PathLike) -> list[tuple[str, str, str]]:
     """(entity, timestamp text or "", sentence) per line of a sentence TSV."""
     with _reading(path):
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     # Split on line feeds only: other Unicode line breaks may sit in a sentence.
     lines = text.split("\n")
     if lines[-1] == "":
@@ -153,7 +154,7 @@ def read_csv(path: PathLike, min_width: int) -> Iterator[tuple[int, list[str]]]:
     non-blank record. The header needs ``min_width`` fields and each record
     as many as the header; ``line`` is the ``csv.reader`` line number. A
     record that csv cannot read is a ValidationError naming the line."""
-    with _reading(path), open(path, encoding="utf-8", newline="") as handle:
+    with _reading(path), open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])

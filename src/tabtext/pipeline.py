@@ -145,11 +145,11 @@ def build_tabtext_features(
     feature matrix, which is allocated once and filled in place.
 
     ``entity_ids`` is the entity universe, and each source's rows are grouped
-    by :func:`~tabtext.data_model.group_rows`. Separate mode
-    yields one embedding block per source (concatenated); single-paragraph
-    mode joins all static sources' sentences into one paragraph per entity
-    before embedding, then averages it with the per-source time-series
-    aggregates so the dimension stays the backend dimension.
+    by :func:`~tabtext.data_model.group_rows`. Only this function combines
+    sources: separate mode concatenates one embedding block per source;
+    single-paragraph mode embeds all static sources' sentences as one
+    paragraph per entity and averages it with the per-source time-series
+    aggregates, so the width stays the backend dimension.
     """
     universe = list(entity_ids)
     single = ser_config.combine_sources is CombineMode.SINGLE_PARAGRAPH
@@ -182,7 +182,8 @@ def build_tabtext_features(
         if static_texts:
             merged = embed_text(" ".join(static_texts), backend)
             parts.insert(0, ("static", [(None, merged)]))
-        values[i] = aggregate_entity(parts, ser_config.combine_sources, normalize, entity)
+        vectors = aggregate_entity(parts, normalize, entity)
+        values[i] = np.stack(vectors).mean(axis=0) if single else np.concatenate(vectors)
 
     return FeatureMatrix(
         entity_ids=universe,

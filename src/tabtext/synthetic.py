@@ -12,7 +12,6 @@ missing cells are written as empty strings.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +20,9 @@ from typing import Union
 
 import numpy as np
 
+from .data_model import Row, load_schema, parse_table
 from .errors import ValidationError
+from .formats import load_labels
 
 SIGNAL_WORDS = (
     "septic shock",
@@ -41,8 +42,10 @@ _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 # The label mechanism. Diagnosis channel: P(signal word | y).
 P_SIGNAL_POS, P_SIGNAL_NEG = 0.95, 0.02
-# A mild numeric signal, so the baseline is better than chance.
-AGE_SHIFT, HEART_RATE_SHIFT = 7.0, 6.0
+# A mild numeric signal, so the baseline is better than chance. Each value of
+# a column is normal: (its mean, the shift of the mean for y = 1, its sd); the
+# informative-missingness mode shifts nothing.
+NORMAL = {"age": (55.0, 7.0, 12.0), "heart_rate": (78.0, 6.0, 10.0), "resp_rate": (16.0, 1.5, 3.0)}
 # The informative-missingness channel: P(missing | y).
 P_MISSING_POS, P_MISSING_NEG = 0.85, 0.10
 
@@ -132,9 +135,13 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
 
     informative = spec.informative_missingness
     missing_token = "" if informative else "NaN"
-    age_shift = 0.0 if informative else AGE_SHIFT
-    hr_shift = 0.0 if informative else HEART_RATE_SHIFT
-    age = rng.normal(55.0 + age_shift * y, 12.0)
+    shifted = {c: (m, 0.0 if informative else s, sd) for c, (m, s, sd) in NORMAL.items()}
+
+    def normal(column: str, label, size=None) -> np.ndarray:
+        mean, shift, sd = shifted[column]
+        return rng.normal(mean + shift * label, sd, size=size)
+
+    age = normal("age", y)
     gender = np.where(rng.random(n) < 0.5, "female", "male")
     bmi = rng.normal(27.0, 4.0, size=n)
 
@@ -184,8 +191,8 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
     for i in range(n):
         n_obs = int(rng.integers(1, 11))
         hours = np.sort(np.round(rng.uniform(0.0, 48.0, size=n_obs), 1))
-        hr = rng.normal(78.0 + hr_shift * y[i], 10.0, size=n_obs)
-        rr = rng.normal(16.0 + 0.25 * hr_shift * y[i], 3.0, size=n_obs)
+        hr = normal("heart_rate", y[i], size=n_obs)
+        rr = normal("resp_rate", y[i], size=n_obs)
         for k in range(n_obs):
             vitals_lines.append(
                 f"{ids[i]},{hours[k]:.1f},{hr[k]:.1f},{rr[k]:.1f}"
@@ -213,9 +220,7 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
         "n_positive": int(y.sum()),
         "informative_missingness": informative,
         "mechanism": {
-            "age": {"mean_neg": 55.0, "shift_pos": age_shift, "std": 12.0},
-            "heart_rate": {"mean_neg": 78.0, "shift_pos": hr_shift, "std": 10.0},
-            "resp_rate": {"mean_neg": 16.0, "shift_pos": 0.25 * hr_shift, "std": 3.0},
+            **{c: {"mean_neg": m, "shift_pos": s, "std": sd} for c, (m, s, sd) in shifted.items()},
             "diagnosis": {
                 "p_signal_pos": float(p_signal[y == 1].mean()) if y.any() else 0.0,
                 "p_signal_neg": 0.0 if informative else P_SIGNAL_NEG,
@@ -235,70 +240,49 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
     return out
 
 
-def oracle_scores(corpus_dir: Union[str, Path]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Exact log-likelihood-ratio scores under the generative mechanism.
+def oracle_scores(
+    corpus_dir: Union[str, Path], spec: CorpusSpec
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Exact log-likelihood-ratio scores of the corpus that :func:`generate`
+    wrote for ``spec`` in ``corpus_dir``, under the module constants above.
 
-    Returns (entity_ids, scores, labels). The AUROC of these scores is the
-    empirical Bayes-optimal performance on this corpus; no pipeline should
-    beat it by more than statistical noise.
+    Returns (entity_ids, scores, labels) in labels-file order. The files are
+    read by the package's own readers, so a cell is missing as
+    ``cell.missing`` says. The AUROC of these scores is the empirical
+    Bayes-optimal performance on this corpus; no pipeline should beat it by
+    more than statistical noise.
     """
     out = Path(corpus_dir)
-    truth = json.loads((out / "ground_truth.json").read_text(encoding="utf-8"))
-    mech = truth["mechanism"]
+    entity_ids, labels = load_labels(out / "labels.csv")
+    scores = dict.fromkeys(entity_ids, 0.0)
 
-    labels: dict[str, int] = {}
-    for line in (out / "labels.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        entity, lab = line.split(",")
-        labels[entity] = int(lab)
+    def table(name: str) -> list[Row]:
+        return parse_table(out / f"{name}.csv", load_schema(out / f"{name}.schema.yaml"))
 
-    scores = {e: 0.0 for e in labels}
-
-    def gauss_llr(x: float, mean_neg: float, shift: float, std: float) -> float:
-        if shift == 0.0:
-            return 0.0
-        mean_pos = mean_neg + shift
+    def gauss_llr(row: Row, column: str) -> float:
+        mean_neg, shift, std = NORMAL[column]
+        x, mean_pos = row.cells[column].parsed, mean_neg + shift
         return ((x - mean_neg) ** 2 - (x - mean_pos) ** 2) / (2 * std**2)
 
-    def bern_llr(hit: bool, p_pos: float, p_neg: float) -> float:
-        p_pos = min(max(p_pos, 1e-9), 1 - 1e-9)
-        p_neg = min(max(p_neg, 1e-9), 1 - 1e-9)
-        if hit:
-            return math.log(p_pos / p_neg)
-        return math.log((1 - p_pos) / (1 - p_neg))
+    def bern_llr(p_pos: float, p_neg: float) -> dict[bool, float]:
+        """The LLR of a yes/no outcome, by the outcome."""
+        return {True: math.log(p_pos / p_neg), False: math.log((1 - p_pos) / (1 - p_neg))}
 
-    miss = mech["missingness"]
-    diag = mech["diagnosis"]
-    with open(out / "demographics.csv", encoding="utf-8", newline="") as handle:
-        for record in csv.DictReader(handle):
-            score = gauss_llr(
-                float(record["age"]),
-                mech["age"]["mean_neg"],
-                mech["age"]["shift_pos"],
-                mech["age"]["std"],
-            )
-            if diag["p_signal_neg"] > 0.0 or diag["p_signal_pos"] > 0.0:
-                score += bern_llr(
-                    record["diagnosis"] in SIGNAL_WORDS,
-                    diag["p_signal_pos"],
-                    diag["p_signal_neg"],
-                )
-            for column in miss["columns"]:
-                is_missing = record[column].strip().lower() in ("", "nan")
-                score += bern_llr(
-                    is_missing, miss["p_missing_pos"], miss["p_missing_neg"]
-                )
-            scores[record["id"]] += score
-
-    hr = mech["heart_rate"]
-    rr = mech["resp_rate"]
-    for line in (out / "vitals.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        entity, _hour, heart, resp = line.split(",")
-        scores[entity] += gauss_llr(float(heart), hr["mean_neg"], hr["shift_pos"], hr["std"])
-        scores[entity] += gauss_llr(float(resp), rr["mean_neg"], rr["shift_pos"], rr["std"])
-
-    ids = sorted(labels)
-    return (
-        ids,
-        np.array([scores[e] for e in ids]),
-        np.array([labels[e] for e in ids]),
-    )
+    if spec.informative_missingness:
+        # Only the notes' missingness depends on the label: no value is
+        # shifted and no diagnosis holds a signal word.
+        missing = bern_llr(P_MISSING_POS, P_MISSING_NEG)
+        for row in table("demographics"):
+            notes = (row.cells[c].missing for c in ("note_a", "note_b", "note_c"))
+            scores[row.entity_id] += sum(missing[m] for m in notes)
+    else:
+        # Missingness has one rate in both classes, so its LLR is 0.
+        signal = bern_llr(P_SIGNAL_POS, P_SIGNAL_NEG)
+        for row in table("demographics"):
+            hit = row.cells["diagnosis"].raw in SIGNAL_WORDS
+            scores[row.entity_id] += gauss_llr(row, "age") + signal[hit]
+        for row in table("vitals"):
+            scores[row.entity_id] += gauss_llr(row, "heart_rate")
+            scores[row.entity_id] += gauss_llr(row, "resp_rate")
+    # Both dicts hold the entities in labels-file order.
+    return entity_ids, np.array(list(scores.values())), np.array(list(labels.values()))

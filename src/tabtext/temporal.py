@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .serializer import CombineMode
 
 
 @dataclass(frozen=True)
@@ -66,17 +65,14 @@ def aggregate_timed(
 
 def aggregate_entity(
     per_source: Sequence[tuple[str, Sequence[tuple[Optional[float], np.ndarray]]]],
-    mode: CombineMode,
     normalize: bool = True,
     entity_id: str = "",
-) -> np.ndarray:
-    """Reduce one entity's per-source rows to a single feature vector.
+) -> list[np.ndarray]:
+    """Reduce one entity's rows to one vector per source, in source order.
 
     A source's rows are one row without a timestamp, which passes through, or
     timestamped rows, reduced with :func:`aggregate_timed`, as ``group_rows``
-    and ``read_embeddings`` check. Separate mode concatenates the per-source
-    vectors in declared order; single-paragraph mode (where the texts were
-    already merged upstream) averages them so the dimension stays fixed.
+    and ``read_embeddings`` check.
     """
     parts: list[np.ndarray] = []
     for source, rows in per_source:
@@ -90,7 +86,4 @@ def aggregate_entity(
                 f"source '{source}': the timestamp-weighted sum of entity "
                 f"'{entity_id}' overflows ({exc})"
             ) from None
-
-    if mode is CombineMode.SINGLE_PARAGRAPH:
-        return np.stack(parts).mean(axis=0)
-    return np.concatenate(parts)
+    return parts

@@ -16,6 +16,8 @@ from tabtext.cli import main
 from tabtext.data_model import load_schema, parse_table
 from tabtext.embedding import HashingBackend, embed_text
 from tabtext.errors import ValidationError
+from tabtext.evaluation import SplitSpec, split
+from tabtext.formats import load_labels
 from tabtext.pipeline import RunConfig, build_tabtext_features, load_inputs, load_run_config
 from tabtext.serializer import SerializationConfig, serialize_row
 from tabtext.synthetic import CorpusSpec, generate
@@ -182,6 +184,9 @@ USAGE_FAULTS = {
                                 "--dim"),
     "value-not-a-choice": (["serialize", "--data", "d.csv", "--schema", "d.yaml", "--out",
                             "s.tsv", "--missing-policy", "bogus"], "--missing-policy"),
+    # serialize reads one table, so there are no sources to combine
+    "serialize-combine": (["serialize", "--data", "d.csv", "--schema", "d.yaml", "--out",
+                           "s.tsv", "--combine", "separate"], "--combine"),
 }
 
 
@@ -918,6 +923,41 @@ def test_overflowing_series_statistic_is_validation_error_naming_the_entity(
     assert "Warning" not in err and "Traceback" not in err
 
 
+HUGE_AGES = {"one-train-age": ("train", 1, "1e308"), "three-train-ages": ("train", 3, "1e308"),
+             "test-age": ("test", 1, "1e300")}
+
+
+@pytest.mark.parametrize("part, count, age", HUGE_AGES.values(), ids=list(HUGE_AGES))
+def test_feature_too_large_to_standardize_is_validation_error_naming_it(
+    corpus, tmp_path, part, count, age, capsys
+):
+    """An age whose train mean or sd overflows float64, or whose standardized
+    test value overflows the classifier's float32 copy, stops compare before
+    it scores anything."""
+    ids, labels = load_labels(corpus / "labels.csv")
+    train, test = split(len(ids), SplitSpec(), [labels[e] for e in ids])
+    lines = (corpus / "demographics.csv").read_text().splitlines()
+    for i in (train if part == "train" else test)[:count]:
+        entity, _, rest = lines[i + 1].split(",", 2)
+        assert entity == ids[i]
+        lines[i + 1] = f"{entity},{age},{rest}"
+    demographics = tmp_path / "demographics.csv"
+    demographics.write_text("\n".join(lines) + "\n")
+    sources = [
+        {"data": str(demographics), "schema": "demographics.schema.yaml"},
+        {"data": "vitals.csv", "schema": "vitals.schema.yaml"},
+    ]
+    config = write_config(corpus, tmp_path / "out", sources=sources)
+    assert main(["compare", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    message = (
+        "validation error: feature 'demographics.age' overflows when standardized "
+        "in the split with seed 0"
+    )
+    assert [line for line in err.splitlines() if "error" in line] == [message]
+    assert "Warning" not in err and "Traceback" not in err
+
+
 # sha256 of compare's tabtext_features.csv on the 80-entity corpus with one
 # vitals row of p00000 at timestamp 1e308, which outweighs its other rows.
 ONE_HUGE_TIMESTAMP_FEATURES = "dc35ffabd15bdd8949351b09ef3caba6d5d5b70088b85b9e1cf19d9b64c39f7c"
@@ -965,6 +1005,44 @@ def test_file_that_is_not_utf8_is_validation_error(tmp_path, command, capsys):
         args += ["--schema", str(schema)]
     assert main([command, *args]) == 1
     assert f"validation error: {path}: " in capsys.readouterr().err
+
+
+BOM_INPUTS = {
+    "serialize": ("notes.csv", b"id,note\np1,fine\n",
+                  ["--data", "notes.csv", "--schema", "notes.schema.yaml", "--out", "out"]),
+    "embed": ("sentences.tsv", b"p1\tfine\np2\t1.5\tlater\n",
+              ["--in", "sentences.tsv", "--dim", "4", "--out", "out"]),
+    "aggregate": ("embeddings.csv", b"entity_id,timestamp,e0\np1,,0.5\np2,1.0,2.0\n",
+                  ["--in", "embeddings.csv", "--out", "out"]),
+    "eval": ("features.csv", b"entity_id,label,f0\np1,0,0.1\np2,1,0.9\np3,0,0.2\np4,1,0.8\n",
+             ["--features", "features.csv", "--train-fraction", "0.5"]),
+    "baseline": ("labels.csv", b"entity_id,label\np1,0\np2,1\n",
+                 ["--config", "run.yaml", "--out", "out"]),
+}
+
+
+@pytest.mark.parametrize("command", list(BOM_INPUTS))
+def test_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, command, capsys):
+    """An input file that starts with a UTF-8 byte order mark reads as the
+    same file without it."""
+    name, content, args = BOM_INPUTS[command]
+    results = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        work = tmp_path / f"bom{len(prefix)}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        Path("notes.schema.yaml").write_text(NOTES_SCHEMA)
+        Path("notes.csv").write_bytes(b"id,note\np1,fine\np2,other\n")
+        Path("run.yaml").write_text(yaml.safe_dump(
+            {"sources": [{"data": "notes.csv", "schema": "notes.schema.yaml"}],
+             "labels": "labels.csv"}
+        ))
+        Path(name).write_bytes(prefix + content)
+        code = main([command, *args])
+        output = Path("out").read_bytes() if Path("out").exists() else None
+        results.append((code, capsys.readouterr(), output))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
 
 
 def test_concurrent_runs_share_one_cache_and_match_a_run_without_it(corpus, tmp_path):

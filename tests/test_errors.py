@@ -49,12 +49,9 @@ def test_stage_error_is_made_only_in_errors_stage():
 
 
 def test_input_files_are_read_only_in_formats():
-    """Outside formats, only the output digest and the tests' reference
-    scorer open a file."""
+    """Outside formats, only the output digest opens a file."""
     reads = calls_in_src("open", "read_text", "read_bytes", "reader", "DictReader")
-    assert {c for c in reads if not c.startswith("formats.")} == {
-        "pipeline._digest", "synthetic.oracle_scores"
-    }
+    assert {c for c in reads if not c.startswith("formats.")} == {"pipeline._digest"}
 
 
 def test_stage_wraps_only_an_unexpected_failure():

@@ -8,6 +8,8 @@ from tabtext.baseline import FeatureMatrix
 from tabtext.data_model import from_dict, to_dict
 from tabtext.errors import ValidationError
 from tabtext.evaluation import (
+    GD_L2,
+    GD_LR,
     SplitSpec,
     _logistic_gd,
     auroc,
@@ -198,8 +200,8 @@ class TestFitLinearClassifier:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(30, 3))
         y = np.array([0, 1] * 15)
-        model = fit_linear_classifier(X, y, steps=0)
-        assert auroc(model.scores(X), y) == 0.5
+        w, b = _logistic_gd(X, y.astype(np.float64), 0, GD_LR, GD_L2)
+        assert auroc(X @ w + b, y) == 0.5
 
     def test_single_class_error(self):
         X = np.zeros((4, 2))

@@ -21,6 +21,7 @@ from tabtext.pipeline import (
     load_run_config,
 )
 from tabtext.serializer import CombineMode, MissingPolicy, SerializationConfig
+from tabtext.temporal import aggregate_timed
 
 SEPARATE = SerializationConfig(include_meta=False, combine_sources=CombineMode.SEPARATE)
 SINGLE = SerializationConfig(include_meta=False, combine_sources=CombineMode.SINGLE_PARAGRAPH)
@@ -98,6 +99,16 @@ class TestCombineModes:
         features = build([demo, vitals, labs], SINGLE, backend)
         assert features.values.shape == (2, backend.dim)
         assert features.feature_names == [f"text.e{i}" for i in range(16)]
+
+    def test_single_paragraph_averages_parts(self, demo, vitals, labs):
+        backend = HashingBackend(dim=16)
+        features = build([demo, vitals, labs], SINGLE, backend)
+        # p1's row: the mean of its static paragraph and of its vitals series
+        (paragraph,) = backend.embed_batch(["age is 50. ldl is 3."])
+        vitals_rows = backend.embed_batch(["hr is 80.", "hr is 90."])
+        series = aggregate_timed([(1.0, vitals_rows[0]), (2.0, vitals_rows[1])])
+        want = np.stack([paragraph, series]).mean(axis=0)
+        assert features.values[0].tobytes() == want.tobytes()
 
     def test_single_static_source_modes_agree(self, demo):
         separate = build([demo], SEPARATE, HashingBackend(dim=16))

@@ -125,9 +125,11 @@ class TestGenerate:
 
 
 class TestOracle:
-    def test_oracle_separates_classes(self, tmp_path):
-        generate(CorpusSpec(seed=7, n_entities=300), tmp_path)
-        _, scores, labels = oracle_scores(tmp_path)
+    @pytest.mark.parametrize("informative", [False, True], ids=["standard", "informative"])
+    def test_oracle_separates_classes(self, tmp_path, informative):
+        spec = CorpusSpec(seed=7, n_entities=300, informative_missingness=informative)
+        generate(spec, tmp_path)
+        _, scores, labels = oracle_scores(tmp_path, spec)
         assert auroc(scores, labels) > 0.9
 
     def test_pipeline_never_beats_bayes(self, tmp_path):
@@ -137,8 +139,9 @@ class TestOracle:
         backend = HashingBackend(dim=128)
         for seed in range(20):
             corpus = tmp_path / f"c{seed}"
-            generate(CorpusSpec(seed=seed, n_entities=250), corpus)
-            _, scores, labels = oracle_scores(corpus)
+            spec = CorpusSpec(seed=seed, n_entities=250)
+            generate(spec, corpus)
+            _, scores, labels = oracle_scores(corpus, spec)
             bayes = auroc(scores, labels)
             sources = load_corpus_sources(corpus)
             ids, label_map = load_labels(corpus / "labels.csv")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tabtext.errors import ValidationError
-from tabtext.serializer import CombineMode
 from tabtext.temporal import aggregate_entity, aggregate_timed
 
 
@@ -141,25 +140,16 @@ class TestInvariants:
 class TestAggregateEntity:
     def test_static_passthrough(self):
         vec = np.array([1.0, 2.0])
-        out = aggregate_entity([("demo", [(None, vec)])], CombineMode.SEPARATE)
+        (out,) = aggregate_entity([("demo", [(None, vec)])])
         np.testing.assert_array_equal(out, vec)
 
-    def test_static_plus_series_concatenation(self):
+    def test_static_and_series_give_one_vector_each_in_source_order(self):
         static = np.ones(3)
         timed = [(1.0, np.zeros(3)), (2.0, np.full(3, 3.0))]
-        out = aggregate_entity(
-            [("demo", [(None, static)]), ("vitals", timed)], CombineMode.SEPARATE
-        )
-        assert out.shape == (6,)
-        np.testing.assert_array_equal(out[:3], static)
-        np.testing.assert_allclose(out[3:], np.full(3, 2.0))
-
-    def test_single_paragraph_averages_parts(self):
-        out = aggregate_entity(
-            [("a", [(None, np.array([2.0, 0.0]))]), ("b", [(None, np.array([0.0, 2.0]))])],
-            CombineMode.SINGLE_PARAGRAPH,
-        )
-        np.testing.assert_allclose(out, [1.0, 1.0])
+        out = aggregate_entity([("demo", [(None, static)]), ("vitals", timed)])
+        assert len(out) == 2
+        np.testing.assert_array_equal(out[0], static)
+        np.testing.assert_allclose(out[1], np.full(3, 2.0))
 
     def test_overflowing_weights_are_validation_error_naming_source_and_entity(self):
         timed = [(1e308, np.ones(2)), (1e308, np.ones(2))]
@@ -168,8 +158,4 @@ class TestAggregateEntity:
             "(overflow encountered in reduce)"
         )
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            aggregate_entity(
-                [("demo", [(None, np.ones(2))]), ("vitals", timed)],
-                CombineMode.SEPARATE,
-                entity_id="p1",
-            )
+            aggregate_entity([("demo", [(None, np.ones(2))]), ("vitals", timed)], entity_id="p1")
