@@ -49,7 +49,11 @@ class FeatureMatrix:
                 f"matrix shape {self.values.shape} does not match "
                 f"{len(self.entity_ids)} entities x {len(self.feature_names)} features"
             )
-        if not np.all(np.isfinite(self.values)):
+        # min() and max() are nan if any cell is nan, so both are finite
+        # exactly when every cell is, and neither makes a full-size temporary.
+        if self.values.size and not (
+            np.isfinite(self.values.min()) and np.isfinite(self.values.max())
+        ):
             raise ValueError("feature matrix contains non-finite values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)

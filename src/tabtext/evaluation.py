@@ -113,20 +113,35 @@ def _logistic_gd(
     constants are held in that dtype, so a float32 ``X`` runs both products
     of each step in float32. The sigmoid is ``0.5 + 0.5 * tanh(z / 2)``,
     which cannot overflow at any ``z`` (float32 ``exp(-z)`` overflows below
-    z = -88.7). Returns the weights as float64 and the bias as a float."""
+    z = -88.7). A step allocates no array: it runs the operations of
+
+        z = X @ w + b;  r = 0.5 + 0.5 * tanh(0.5 * z) - y
+        w -= lr * (X.T @ r / n + l2 * w);  b -= lr * sum(r) / n
+
+    in that order, in place in three buffers made once (``z`` of a row each,
+    ``g`` and ``t`` of a column each). Returns the weights as float64 and the
+    bias as a float."""
     real = X.dtype.type
     n, half, lr, l2 = real(X.shape[0]), real(0.5), real(lr), real(l2)
     y = y.astype(X.dtype)
     w = np.zeros(X.shape[1], dtype=X.dtype)
     b = real(0.0)
+    z, g, t = np.empty(len(y), X.dtype), np.empty_like(w), np.empty_like(w)
     for _ in range(steps):
-        z = X @ w + b
-        p = half + half * np.tanh(half * z)
-        r = p - y
-        grad_w = X.T @ r / n + l2 * w
-        grad_b = np.sum(r) / n
-        w -= lr * grad_w
-        b -= lr * grad_b
+        np.matmul(X, w, out=z)
+        z += b
+        z *= half
+        np.tanh(z, out=z)
+        z *= half
+        z += half
+        z -= y  # z now holds r
+        np.matmul(X.T, z, out=g)
+        g /= n
+        np.multiply(w, l2, out=t)
+        g += t
+        g *= lr
+        w -= g
+        b -= lr * (np.sum(z) / n)
     return w.astype(np.float64), float(b)
 
 

@@ -220,6 +220,7 @@ def run_compare(config: RunConfig) -> dict:
         base = build_baseline_features(
             sources, entity_ids, labels, config.baseline.max_categories
         )
+    del sources  # the parsed rows are not needed past this point; free them for the fit
 
     with stage("evaluate"):
         tab_mean, tab_sd, shash = evaluate_features(tabtext, config.evaluation)

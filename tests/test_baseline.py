@@ -268,6 +268,17 @@ class TestFeatureMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             FeatureMatrix(["a"], ["f"], np.array([[np.nan]]))
+        for value in (np.nan, np.inf, -np.inf):
+            for cell in ((0, 0), (2, 3), (4, 6)):  # the first, a middle and the last
+                values = np.arange(35.0).reshape(5, 7) - 17
+                values[cell] = value
+                with pytest.raises(ValueError, match="^feature matrix contains non-finite values$"):
+                    FeatureMatrix(list("abcde"), list("fghijkl"), values)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_matrix_constructs(self, shape):
+        matrix = FeatureMatrix(list("abc"[: shape[0]]), list("xyz"[: shape[1]]), np.empty(shape))
+        assert matrix.values.shape == shape
 
     def test_csv_round_trip(self, tmp_path):
         matrix = FeatureMatrix(

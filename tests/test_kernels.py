@@ -6,7 +6,8 @@ every vector, one list of fields per CSV line, one new cell per field, one
 1-D array per series). The feature CSV reader, which fills its matrix in
 place, is checked on every line ending that csv.reader accepts. The float32
 classifier fit gives the test AUROC of a frozen float64 fit, and nearly its
-weights."""
+weights; its in-place gradient descent gives the weights and bias of a frozen
+float32 one that allocates each step's arrays, bit for bit."""
 import hashlib
 import io
 import re
@@ -35,7 +36,16 @@ from tabtext.data_model import (
 )
 from tabtext.embedding import HashingBackend, chunk_text, embed_text
 from tabtext.errors import ValidationError
-from tabtext.evaluation import SplitSpec, auroc, fit_linear_classifier, grid_points, split
+from tabtext.evaluation import (
+    SplitSpec,
+    _column_moments,
+    _logistic_gd,
+    _standardize_active,
+    auroc,
+    fit_linear_classifier,
+    grid_points,
+    split,
+)
 from tabtext.formats import _invalid, load_labels, read_csv, read_features, write_float_rows
 from tabtext.pipeline import build_tabtext_features
 from tabtext.synthetic import CorpusSpec, generate
@@ -160,6 +170,23 @@ def frozen_logistic_gd(X, y, steps, lr, l2):
         w -= lr * grad_w
         b -= lr * grad_b
     return w, b
+
+
+def frozen_logistic_gd32(X, y, steps, lr, l2):
+    real = X.dtype.type
+    n, half, lr, l2 = real(X.shape[0]), real(0.5), real(lr), real(l2)
+    y = y.astype(X.dtype)
+    w = np.zeros(X.shape[1], dtype=X.dtype)
+    b = real(0.0)
+    for _ in range(steps):
+        z = X @ w + b
+        p = half + half * np.tanh(half * z)
+        r = p - y
+        grad_w = X.T @ r / n + l2 * w
+        grad_b = np.sum(r) / n
+        w -= lr * grad_w
+        b -= lr * grad_b
+    return w.astype(np.float64), float(b)
 
 
 # ---- hashing --------------------------------------------------------------
@@ -502,3 +529,33 @@ def test_float32_fit_gives_the_auroc_of_a_float64_fit_at_every_grid_point(tmp_pa
         assert auroc(model.scores(values, test), y[test]) == want, config
         w32 = model.weights[active]
         assert np.max(np.abs(w32 - w64)) <= 1e-4 * np.max(np.abs(w64)), config
+
+
+def standardized32(X):
+    """The float32 column-major copy that the fit runs its descent on."""
+    mean, std = _column_moments(X, None)
+    return _standardize_active(X, None, mean, np.where(std > 0, std, 0.0))[1]
+
+
+def outlying_case():
+    # The separable matrix of the sigmoid test, whose row 0 scores near -140.
+    y = np.repeat([0, 1], 40)
+    X = (2 * y - 1)[:, None] + 0.01 * np.random.default_rng(0).normal(size=(80, 400))
+    X[0] = -1e3
+    return X, y
+
+
+def random_case(n, d):
+    rng = np.random.default_rng(n + d)
+    y = rng.integers(2, size=n)
+    return rng.normal(size=(n, d)) + 0.3 * y[:, None] * rng.normal(size=d), y
+
+
+@pytest.mark.parametrize("case", [(32, 343), (1600, 17), (400, 868), "outlying"])
+def test_in_place_descent_matches_one_array_per_step(case):
+    X, y = outlying_case() if case == "outlying" else random_case(*case)
+    Xs = standardized32(X)
+    w, b = _logistic_gd(Xs, y.astype(np.float64), 500, 0.1, 1e-4)
+    want_w, want_b = frozen_logistic_gd32(Xs, y.astype(np.float64), 500, 0.1, 1e-4)
+    assert w.tobytes() == want_w.tobytes()
+    assert b == want_b

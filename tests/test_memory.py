@@ -1,17 +1,22 @@
-"""Memory guards: a feature matrix is built and read back in place and
-evaluated through row indices, never copied at full width. tracemalloc counts
-numpy's buffers, so a list of per-entity rows stacked into the matrix, or a
-copy of the training rows, shows in the traced peak of the call. A parsed
-table shares one cell among the fields of each distinct text."""
+"""Memory guards: a feature matrix is built, checked and read back in place
+and evaluated through row indices, never copied at full width. tracemalloc
+counts numpy's buffers, so a list of per-entity rows stacked into the matrix,
+a copy of the training rows or a full-size boolean mask shows in the traced
+peak of the call. A parsed table shares one cell among the fields of each
+distinct text, and `compare` lets its parsed rows go before it evaluates."""
+import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from tabtext.data_model import load_schema, parse_table
+import tabtext.pipeline
+from tabtext.baseline import FeatureMatrix
+from tabtext.data_model import Row, load_schema, parse_table
 from tabtext.embedding import HashingBackend
 from tabtext.evaluation import SplitSpec, evaluate_features
 from tabtext.formats import load_labels, read_features
-from tabtext.pipeline import build_tabtext_features
+from tabtext.pipeline import RunConfig, SourceConfig, build_tabtext_features, run_compare
 from tabtext.serializer import SerializationConfig
 from tabtext.synthetic import CorpusSpec, generate
 
@@ -80,3 +85,30 @@ def test_parsing_a_table_makes_one_cell_per_distinct_text(corpus):
     rows, peak = traced_peak(lambda: parse_table(corpus / "vitals.csv", schema))
     assert len(rows) > 2000
     assert peak <= 500 * len(rows)
+
+
+def test_checking_a_prebuilt_matrix_copies_nothing():
+    values = np.random.default_rng(0).normal(size=(400, 1536))
+    ids, names = [f"e{i}" for i in range(400)], [f"f{j}" for j in range(1536)]
+    labels = np.arange(400) % 2
+    features, peak = traced_peak(lambda: FeatureMatrix(ids, names, values, labels))
+    assert features.values is values
+    assert peak < 0.01 * values.nbytes
+
+
+def test_compare_evaluates_with_no_parsed_row_alive(corpus, tmp_path, monkeypatch):
+    before = [obj for obj in gc.get_objects() if isinstance(obj, Row)]  # held, so no id is reused
+    known = set(map(id, before))
+    alive = []
+
+    def evaluate(features, spec):
+        gc.collect()
+        alive.append(sum(isinstance(obj, Row) and id(obj) not in known
+                         for obj in gc.get_objects()))
+        return evaluate_features(features, spec)
+
+    monkeypatch.setattr(tabtext.pipeline, "evaluate_features", evaluate)
+    sources = [SourceConfig(name, corpus / f"{name}.csv", corpus / f"{name}.schema.yaml")
+               for name in ("demographics", "vitals")]
+    run_compare(RunConfig(sources, corpus / "labels.csv", output_dir=tmp_path))
+    assert alive == [0, 0]
