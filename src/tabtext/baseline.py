@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .data_model import CellValue, ColumnKind, Row, TableSchema, group_rows
+from .data_model import CellValue, ColumnKind, Row, TableSchema
 from .errors import ValidationError
 from .formats import read_features, write_features
 
@@ -131,7 +131,7 @@ def series_statistics(series: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def build_baseline_features(
-    sources: Sequence[tuple[str, TableSchema, Sequence[Row]]],
+    sources: Sequence[tuple[str, TableSchema, Mapping[str, Sequence[Row]]]],
     entity_ids: Sequence[str],
     labels: Optional[Mapping[str, int]] = None,
     max_categories: int = 10,
@@ -139,7 +139,8 @@ def build_baseline_features(
     """Assemble the traditional feature matrix across all sources.
 
     ``entity_ids`` is the entity universe and ``labels`` maps each entity to
-    its label; each source's rows are grouped by :func:`group_rows`. A numeric
+    its label; each source comes with its rows by entity, as
+    :func:`~tabtext.pipeline.load_inputs` groups them. A numeric
     column of a time-series source expands into SERIES_STATS. Every other
     column reads each entity's latest row (the first on tied timestamps; a
     static source's only row), and an entity without one reads a missing cell.
@@ -149,8 +150,7 @@ def build_baseline_features(
     names: list[str] = []
     columns: list[np.ndarray] = []
 
-    for source, schema, rows in sources:
-        grouped = group_rows(source, schema, rows, universe)
+    for source, schema, grouped in sources:
         per_entity = [grouped.get(e, []) for e in universe]
         latest = [max(r, key=lambda row: row.timestamp) if r else None for r in per_entity]
         if schema.time_column is not None:

@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -112,10 +112,10 @@ def load_run_config(path: Union[str, Path], **overrides) -> RunConfig:
 
 def load_inputs(
     config: RunConfig, command: str
-) -> tuple[list[tuple[str, TableSchema, list[Row]]], list[str], dict[str, int]]:
+) -> tuple[list[tuple[str, TableSchema, dict[str, list[Row]]]], list[str], dict[str, int]]:
     """Check the sources and the labels file of ``config``, which ``command``
-    requires, then parse them: (sources as (name, schema, rows), entity ids,
-    labels by entity)."""
+    requires, then parse them, each table's rows grouped by :func:`group_rows`:
+    (sources as (name, schema, rows by entity), entity ids, labels by entity)."""
     if not config.sources:
         raise ValidationError("'sources' lists no source")
     names = [source.name for source in config.sources]
@@ -125,16 +125,18 @@ def load_inputs(
     if config.labels is None:
         raise ValidationError(f"{command} requires a labels file")
     with stage("parse"):
-        sources = []
+        tables = []
         for source in config.sources:
             schema = load_schema(source.schema)
-            sources.append((source.name, schema, parse_table(source.data, schema)))
+            tables.append((source.name, schema, parse_table(source.data, schema)))
         entity_ids, labels = load_labels(config.labels)
+        sources = [(name, schema, group_rows(name, schema, rows, entity_ids))
+                   for name, schema, rows in tables]
     return sources, entity_ids, labels
 
 
 def build_tabtext_features(
-    sources: Sequence[tuple[str, TableSchema, Sequence[Row]]],
+    sources: Sequence[tuple[str, TableSchema, Mapping[str, Sequence[Row]]]],
     entity_ids: Sequence[str],
     labels: Optional[dict[str, int]],
     ser_config: SerializationConfig,
@@ -144,30 +146,26 @@ def build_tabtext_features(
     """Serialize, embed, and aggregate every entity into its row of one
     feature matrix, which is allocated once and filled in place.
 
-    ``entity_ids`` is the entity universe, and each source's rows are grouped
-    by :func:`~tabtext.data_model.group_rows`. Only this function combines
-    sources: separate mode concatenates one embedding block per source;
-    single-paragraph mode embeds all static sources' sentences as one
+    ``entity_ids`` is the entity universe, and each source comes with its
+    rows by entity, as :func:`load_inputs` groups them. Only this function
+    combines sources: separate mode concatenates one embedding block per
+    source; single-paragraph mode embeds all static sources' sentences as one
     paragraph per entity and averages it with the per-source time-series
     aggregates, so the width stays the backend dimension.
     """
     universe = list(entity_ids)
     single = ser_config.combine_sources is CombineMode.SINGLE_PARAGRAPH
-    grouped = [
-        (name, schema, group_rows(name, schema, rows, universe))
-        for name, schema, rows in sources
-    ]
 
     if single:
         names = [f"text.e{i}" for i in range(backend.dim)]
     else:
-        names = [f"{name}.e{i}" for name, _, _ in grouped for i in range(backend.dim)]
+        names = [f"{name}.e{i}" for name, _, _ in sources for i in range(backend.dim)]
     values = np.empty((len(universe), len(names)), dtype=np.float64)
     zero = np.zeros(backend.dim, dtype=np.float64)
     for i, entity in enumerate(universe):
         parts: list[tuple[str, list[tuple[Optional[float], np.ndarray]]]] = []
         static_texts: list[str] = []
-        for name, schema, per_entity in grouped:
+        for name, schema, per_entity in sources:
             entries = [
                 (row.timestamp, serialize_row(schema, row, ser_config))
                 for row in per_entity.get(entity, [])

@@ -12,7 +12,7 @@ import pytest
 
 from golden_fixture import GOLDEN_SCHEMA, golden_configs, golden_rows
 from tabtext.baseline import SERIES_STATS, build_baseline_features, encode_categorical, summarize_series
-from tabtext.data_model import CellValue, load_schema, parse_table
+from tabtext.data_model import CellValue, group_rows, load_schema, parse_table
 from tabtext.embedding import HashingBackend, chunk_text, embed_text
 from tabtext.evaluation import SplitSpec, auroc, evaluate_features, run_ablation
 from tabtext.pipeline import (
@@ -46,11 +46,13 @@ def criterion(number, description, budget_s=None):
 
 
 def corpus_sources(corpus: Path):
+    """Each table of the corpus, its rows by entity of the labels file."""
+    ids, _ = load_labels(corpus / "labels.csv")
     out = []
     for name in ("demographics", "vitals"):
         schema = load_schema(corpus / f"{name}.schema.yaml")
         rows = parse_table(corpus / f"{name}.csv", schema)
-        out.append((name, schema, rows))
+        out.append((name, schema, group_rows(name, schema, rows, ids)))
     return out
 
 

@@ -16,9 +16,12 @@ from tabtext.data_model import (
     ColumnSpec,
     TableMeta,
     TableSchema,
+    group_rows,
 )
 from tabtext.errors import ValidationError
 from tabtext.formats import _BLOCK_ROWS
+
+from test_pipeline import load
 
 
 def cells(*raws):
@@ -155,9 +158,14 @@ def sources(parse_text):
         SERIES_SCHEMA,
     )
     return [
-        ("demo", STATIC_SCHEMA, static_rows),
-        ("vitals", SERIES_SCHEMA, series_rows),
+        by_entity("demo", STATIC_SCHEMA, static_rows),
+        by_entity("vitals", SERIES_SCHEMA, series_rows),
     ]
+
+
+def by_entity(name, schema, rows):
+    """A source of ``rows`` grouped by entity, as load_inputs passes it on."""
+    return name, schema, group_rows(name, schema, rows, [row.entity_id for row in rows])
 
 
 class TestBuildBaselineFeatures:
@@ -188,17 +196,15 @@ class TestBuildBaselineFeatures:
         matrix = build_baseline_features(sources, ["p1", "p2", "p3"])
         assert np.all(np.isfinite(matrix.values))
 
-    def test_unknown_series_entity_is_error(self, sources):
+    def test_unknown_series_entity_is_error(self, tmp_path):
+        vitals, labels = "id,t,hr\np1,1,60\np2,1,70\n", "entity_id,label\np1,1\np3,0\n"
         with pytest.raises(ValidationError, match="p2"):
-            build_baseline_features(sources, ["p1", "p3"])
+            load(tmp_path, "id,age\np1,50\n", vitals, labels, "baseline")
 
-    def test_duplicate_static_row_is_error(self, parse_text):
-        rows = parse_text(
-            "id,age,height,weight,color,note\np1,1,2,3,a,x\np1,4,5,6,b,y\n",
-            STATIC_SCHEMA,
-        )
+    def test_duplicate_static_row_is_error(self, tmp_path):
+        vitals, labels = "id,t,hr\np1,1,60\n", "entity_id,label\np1,1\n"
         with pytest.raises(ValidationError, match="multiple rows"):
-            build_baseline_features([("demo", STATIC_SCHEMA, rows)], ["p1"])
+            load(tmp_path, "id,age\np1,1\np1,4\n", vitals, labels, "baseline")
 
     def test_entity_absent_from_static_source_gets_zeros(self, sources):
         matrix = build_baseline_features(sources, ["p1", "p2", "p3", "p4"])
@@ -221,7 +227,7 @@ WARD_SCHEMA = TableSchema(
 
 def ward_features(parse_text, csv_rows, entity_ids):
     rows = parse_text("id,t,ward,icu\n" + csv_rows, WARD_SCHEMA)
-    return build_baseline_features([("stays", WARD_SCHEMA, rows)], entity_ids)
+    return build_baseline_features([by_entity("stays", WARD_SCHEMA, rows)], entity_ids)
 
 
 class TestCategoricalSeriesAndUniverse:
@@ -256,7 +262,7 @@ class TestCategoricalSeriesAndUniverse:
 
     def test_static_negative_zero_keeps_its_sign(self, parse_text):
         rows = parse_text("id,age,height,weight,color,note\np1,-0,-0.0,0,a,x\n", STATIC_SCHEMA)
-        matrix = build_baseline_features([("demo", STATIC_SCHEMA, rows)], ["p1"])
+        matrix = build_baseline_features([by_entity("demo", STATIC_SCHEMA, rows)], ["p1"])
         np.testing.assert_array_equal(np.signbit(matrix.values[0, :3]), [True, True, False])
 
 

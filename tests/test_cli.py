@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tabtext.baseline import FeatureMatrix
 from tabtext.cli import main
-from tabtext.data_model import load_schema, parse_table
+from tabtext.data_model import group_rows, load_schema, parse_table
 from tabtext.embedding import HashingBackend, embed_text
 from tabtext.errors import ValidationError
 from tabtext.evaluation import SplitSpec, split
@@ -553,7 +554,8 @@ def test_cli_stages_match_in_process_features(records):
         rows = parse_table(data, schema)
         universe = list(dict.fromkeys(row.entity_id for row in rows))
         expected = build_tabtext_features(
-            [("notes", schema, rows)], universe, None, SerializationConfig(),
+            [("notes", schema, group_rows("notes", schema, rows, universe))],
+            universe, None, SerializationConfig(),
             HashingBackend(dim=16),
         )
     assert staged.entity_ids == universe
@@ -766,39 +768,67 @@ def test_embed_unknown_backend_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "emb.csv").exists() and not (tmp_path / "c").exists()
 
 
-def test_labels_file_without_entity_is_validation_error(corpus, tmp_path, capsys):
-    labels = tmp_path / "labels.csv"
-    labels.write_text("entity_id,label\n")
-    config = write_config(corpus, tmp_path / "out", labels=str(labels))
-    assert main(["compare", "--config", str(config)]) == 1
-    assert capsys.readouterr().err == f"validation error: {labels}: lists no entity\n"
-
-
-def test_empty_entity_id_in_the_labels_file_is_validation_error(corpus, tmp_path, capsys):
-    lines = (corpus / "labels.csv").read_text().splitlines()
-    labels = tmp_path / "labels.csv"
-    labels.write_text("\n".join([*lines, ",1"]) + "\n")
-    config = write_config(corpus, tmp_path / "out", labels=str(labels))
-    assert main(["compare", "--config", str(config)]) == 1
-    message = f"validation error: {labels} line {len(lines) + 1}: empty entity id\n"
-    assert capsys.readouterr().err == message
-
-
 def test_empty_entity_id_in_a_data_table_is_validation_error(corpus, tmp_path, capsys):
+    # compare's case is in tests/test_boundaries.py
     lines = (corpus / "demographics.csv").read_text().splitlines()
     data = tmp_path / "demographics.csv"
     data.write_text("\n".join([*lines, "," + lines[1].split(",", 1)[1]]) + "\n")
-    sources = [
-        {"data": str(data), "schema": "demographics.schema.yaml"},
-        {"data": "vitals.csv", "schema": "vitals.schema.yaml"},
-    ]
-    config = write_config(corpus, tmp_path / "out", sources=sources)
-    assert main(["compare", "--config", str(config)]) == 1
     schema = corpus / "demographics.schema.yaml"
     args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.tsv")]
     assert main(["serialize", *args]) == 1
     message = f"validation error: {data} line {len(lines) + 1}: empty entity id in column 'id'"
-    assert capsys.readouterr().err.splitlines() == [message] * 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.fixture(scope="module")
+def corpus40(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus40")
+    generate(CorpusSpec(seed=0, n_entities=40), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["compare", "ablate"])
+@pytest.mark.parametrize(
+    "table, entity, message",
+    [
+        ("demographics", "p00000",
+         "static source 'demographics' has multiple rows for entity 'p00000'"),
+        ("vitals", "ghost",
+         "entity 'ghost' in time-series source 'vitals' is not in the entity universe "
+         "(the labels file)"),
+    ],
+)
+def test_grouping_fault_leaves_no_output_or_cache(
+    corpus40, tmp_path, capsys, command, table, entity, message
+):
+    # A second row for p00000, or a row for an entity the labels file lacks,
+    # fails where the tables are loaded, before any directory is made.
+    corpus = shutil.copytree(corpus40, tmp_path / "corpus")
+    lines = (corpus / f"{table}.csv").read_text().splitlines()
+    extra = entity + "," + lines[1].split(",", 1)[1]
+    (corpus / f"{table}.csv").write_text("\n".join([*lines, extra]) + "\n")
+    cache = tmp_path / "cache"
+    embedding = {"backend": "hashing", "dim": 64, "cache": str(cache)}
+    config = write_config(corpus, tmp_path / "out", embedding=embedding)
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (tmp_path / "out").exists() and not cache.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "ablate"])
+def test_each_table_is_grouped_once_per_run(corpus40, tmp_path, monkeypatch, command):
+    grouped = []
+
+    def counted(source, *args):
+        grouped.append(source)
+        return group_rows(source, *args)
+
+    # Both names a builder could look the function up by are counted.
+    monkeypatch.setattr("tabtext.pipeline.group_rows", counted)
+    monkeypatch.setattr("tabtext.baseline.group_rows", counted, raising=False)
+    config = write_config(corpus40, tmp_path / "out")
+    assert main([command, "--config", str(config)]) == 0
+    assert grouped == ["demographics", "vitals"]
 
 
 # A field longer than csv's limit of 131,072 characters.

@@ -175,7 +175,7 @@ class TestGroupRows:
             (None, "id,age\np9,1\np9,2\n", "static source 'src' has multiple rows for entity 'p9'"),
         ],
     )
-    def test_breach_is_stage_error_of_the_caller(self, parse_text, time_column, text, message):
+    def test_breach_is_validation_error(self, parse_text, time_column, text, message):
         rows = parse_text(text, make_schema(time_column))
         with pytest.raises(ValidationError, match=f"^{message}"):
             group_rows("src", make_schema(time_column), rows, ["p1"])

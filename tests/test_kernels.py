@@ -31,6 +31,7 @@ from tabtext.data_model import (
     Row,
     TableMeta,
     TableSchema,
+    group_rows,
     load_schema,
     parse_table,
 )
@@ -474,7 +475,8 @@ def test_baseline_series_statistics_match_one_array_per_entity(scale):
     rng = np.random.default_rng(3)
     universe = [f"e{i}" for i in range(3 * len(LENGTHS))]
     rows = series_rows(rng, universe, scale)
-    features = build_baseline_features([("v", SERIES_SCHEMA, rows)], universe)
+    grouped = group_rows("v", SERIES_SCHEMA, rows, universe)
+    features = build_baseline_features([("v", SERIES_SCHEMA, grouped)], universe)
     for k, column in enumerate(("x", "y")):
         got = features.values[:, 6 * k : 6 * k + 6]
         assert features.feature_names[6 * k] == f"v.{column}.mean"
@@ -492,8 +494,9 @@ def test_baseline_overflow_names_the_first_entity_in_universe_order():
             for e, values in series.items() for t, v in enumerate(values)]
     with pytest.raises(FloatingPointError) as frozen:
         frozen_summarize_series(list(enumerate(series["e1"])))
+    grouped = group_rows("v", SERIES_SCHEMA, rows, series)
     with pytest.raises(ValidationError) as got:
-        build_baseline_features([("v", SERIES_SCHEMA, rows)], list(series))
+        build_baseline_features([("v", SERIES_SCHEMA, grouped)], list(series))
     assert str(got.value) == (
         f"source 'v': a statistic of column 'x' of entity 'e1' overflows ({frozen.value})"
     )
@@ -504,11 +507,12 @@ def test_baseline_overflow_names_the_first_entity_in_universe_order():
 
 def test_float32_fit_gives_the_auroc_of_a_float64_fit_at_every_grid_point(tmp_path):
     generate(CorpusSpec(seed=3, n_entities=200), tmp_path)
+    ids, labels = load_labels(tmp_path / "labels.csv")
     sources = []
     for name in ("demographics", "vitals"):
         schema = load_schema(tmp_path / f"{name}.schema.yaml")
-        sources.append((name, schema, parse_table(tmp_path / f"{name}.csv", schema)))
-    ids, labels = load_labels(tmp_path / "labels.csv")
+        rows = parse_table(tmp_path / f"{name}.csv", schema)
+        sources.append((name, schema, group_rows(name, schema, rows, ids)))
     backend = HashingBackend()
     for config in grid_points():
         features = build_tabtext_features(sources, ids, labels, config, backend)

@@ -12,7 +12,7 @@ import pytest
 
 import tabtext.pipeline
 from tabtext.baseline import FeatureMatrix
-from tabtext.data_model import Row, load_schema, parse_table
+from tabtext.data_model import Row, group_rows, load_schema, parse_table
 from tabtext.embedding import HashingBackend
 from tabtext.evaluation import SplitSpec, evaluate_features
 from tabtext.formats import load_labels, read_features
@@ -30,11 +30,12 @@ def corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def inputs(corpus):
+    ids, labels = load_labels(corpus / "labels.csv")
     sources = []
     for name in ("demographics", "vitals"):
         schema = load_schema(corpus / f"{name}.schema.yaml")
-        sources.append((name, schema, parse_table(corpus / f"{name}.csv", schema)))
-    ids, labels = load_labels(corpus / "labels.csv")
+        rows = parse_table(corpus / f"{name}.csv", schema)
+        sources.append((name, schema, group_rows(name, schema, rows, ids)))
     return sources, ids, labels
 
 

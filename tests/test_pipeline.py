@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from tabtext.cli import main
-from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema
+from tabtext.data_model import ColumnKind, ColumnSpec, TableMeta, TableSchema, group_rows
 from tabtext.embedding import EmbeddingConfig, HashingBackend
 from tabtext.errors import ValidationError
 from tabtext.evaluation import SplitSpec
@@ -17,6 +17,7 @@ from tabtext.pipeline import (
     _digest,
     SourceConfig,
     build_tabtext_features,
+    load_inputs,
     load_labels,
     load_run_config,
 )
@@ -81,7 +82,31 @@ def vitals(parse_text):
 
 
 def build(sources, config, backend, ids=("p1", "p2")):
-    return build_tabtext_features(sources, list(ids), None, config, backend)
+    grouped = [
+        (name, schema, group_rows(name, schema, rows, ids)) for name, schema, rows in sources
+    ]
+    return build_tabtext_features(grouped, list(ids), None, config, backend)
+
+
+SCHEMA_FILES = {
+    "demo": "meta: {table_title: demo}\nentity_column: id\n"
+            "columns: [{name: id, kind: categorical}, {name: age, kind: numeric}]\n",
+    "vitals": "meta: {table_title: vitals}\nentity_column: id\ntime_column: t\n"
+              "columns: [{name: id, kind: categorical}, {name: t, kind: timestamp}, "
+              "{name: hr, kind: numeric}]\n",
+}
+
+
+def load(tmp_path, demo_csv, vitals_csv, labels_csv, command="compare", **sections):
+    """load_inputs, for ``command``, of a demo and a vitals table of the texts
+    given and of a labels file, with the config ``sections`` given."""
+    sources = []
+    for name, text in (("demo", demo_csv), ("vitals", vitals_csv)):
+        (tmp_path / f"{name}.csv").write_text(text)
+        (tmp_path / f"{name}.yaml").write_text(SCHEMA_FILES[name])
+        sources.append(SourceConfig(name, tmp_path / f"{name}.csv", tmp_path / f"{name}.yaml"))
+    (tmp_path / "labels.csv").write_text(labels_csv)
+    return load_inputs(RunConfig(sources, tmp_path / "labels.csv", **sections), command)
 
 
 class TestCombineModes:
@@ -133,16 +158,22 @@ class TestCombineModes:
 
 
 class TestConsistency:
-    @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
-    def test_duplicate_static_row_is_error(self, config, parse_text, vitals):
-        demo = static_source(parse_text, "demo", "age", "id,age\np1,50\np1,51\n")
-        with pytest.raises(ValidationError, match="multiple rows for entity 'p1'"):
-            build([demo, vitals], config, HashingBackend(dim=16))
+    """The grouping rule is checked once, where the tables are loaded, under
+    every serialization section."""
 
     @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
-    def test_series_entity_outside_universe_is_error(self, config, demo, vitals):
+    def test_duplicate_static_row_is_error(self, config, tmp_path):
+        vitals = "id,t,hr\np1,1,80\np1,2,90\np2,1,70\n"
+        labels = "entity_id,label\np1,1\np2,0\n"
+        with pytest.raises(ValidationError, match="multiple rows for entity 'p1'"):
+            load(tmp_path, "id,age\np1,50\np1,51\n", vitals, labels, serialization=config)
+
+    @pytest.mark.parametrize("config", [SEPARATE, SINGLE])
+    def test_series_entity_outside_universe_is_error(self, config, tmp_path):
+        vitals = "id,t,hr\np1,1,80\np1,2,90\np2,1,70\n"
+        labels = "entity_id,label\np1,1\n"
         with pytest.raises(ValidationError, match="'p2'.*not in the entity universe"):
-            build([demo, vitals], config, HashingBackend(dim=16), ids=("p1",))
+            load(tmp_path, "id,age\np1,50\np2,60\n", vitals, labels, serialization=config)
 
     def test_static_entity_outside_universe_is_ignored(self, demo):
         features = build([demo], SEPARATE, HashingBackend(dim=16), ids=("p1",))

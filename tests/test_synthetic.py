@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tabtext.data_model import load_schema, parse_table
+from tabtext.data_model import group_rows, load_schema, parse_table
 from tabtext.embedding import HashingBackend
 from tabtext.errors import ValidationError
 from tabtext.evaluation import SplitSpec, auroc, evaluate_features
@@ -143,8 +143,9 @@ class TestOracle:
             generate(spec, corpus)
             _, scores, labels = oracle_scores(corpus, spec)
             bayes = auroc(scores, labels)
-            sources = load_corpus_sources(corpus)
             ids, label_map = load_labels(corpus / "labels.csv")
+            sources = [(name, schema, group_rows(name, schema, rows, ids))
+                       for name, schema, rows in load_corpus_sources(corpus)]
             features = build_tabtext_features(
                 sources, ids, label_map, SerializationConfig(), backend
             )
