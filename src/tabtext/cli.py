@@ -34,7 +34,7 @@ def gen_corpus(out_dir, **options):
 
 
 def serialize(data, schema, out_path, **axes):
-    """Serialize a table to a sentence TSV, one line per row."""
+    """Serialize a table to a sentence CSV, one record per row."""
     table_schema = load_schema(schema)
     rows = parse_table(data, table_schema)
     config = from_dict(SerializationConfig, axes, "serialization")
@@ -46,7 +46,7 @@ def serialize(data, schema, out_path, **axes):
 
 
 def embed(in_path, out_path, **options):
-    """Embed a sentence file into a per-row embedding CSV."""
+    """Embed a sentence CSV into a per-row embedding CSV."""
     config = EmbeddingConfig(**options)  # a bad flag is reported before --in is read
     records = read_sentences(in_path)
     be = make_backend(config)  # after the read: a missing input makes no cache directory

@@ -1,16 +1,15 @@
 """Every input file is opened here: the data tables and the labels file,
 the YAML schemas and run configs, and the files that pass between stages,
-the sentence TSV (serialize -> embed), the embedding CSV (embed -> aggregate)
+the sentence CSV (serialize -> embed), the embedding CSV (embed -> aggregate)
 and the feature CSV (aggregate, baseline, compare -> eval). Each CSV is read
 through :func:`read_csv`; a bad line is a ValidationError naming the file and
 the line, and a file that is missing, is not a file or is not UTF-8 text is a
 ValidationError naming the file. A leading UTF-8 byte order mark is dropped
-from every CSV and from the sentence TSV.
+from every CSV.
 """
 from __future__ import annotations
 
 import csv
-import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
@@ -24,12 +23,6 @@ PathLike = Union[str, Path]
 Timed = tuple[Optional[float], np.ndarray]
 # Rows that write_float_rows formats at a time.
 _BLOCK_ROWS = 256
-
-# The sentence TSV holds one record per line with tab-separated fields, so
-# backslashes, tabs and line breaks inside a field are written as escapes.
-_TSV_ESCAPE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
-_TSV_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-_TSV_ESCAPED = re.compile(r"\\([\\tnr])")
 
 
 def _invalid(path: PathLike, line: int, message: str) -> ValidationError:
@@ -75,34 +68,27 @@ def _label(path: PathLike, line: int, text: str) -> int:
 
 
 def write_sentences(path: PathLike, records: Iterable[tuple[str, Optional[float], str]]) -> None:
-    """Write (entity, timestamp or None, sentence) records as a sentence TSV."""
+    """Write (entity, timestamp or None, sentence) records as a sentence CSV,
+    ``entity_id,timestamp,sentence``, with an empty timestamp for a static row."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("entity_id,timestamp,sentence\n")
         for entity, timestamp, sentence in records:
-            entity = entity.translate(_TSV_ESCAPE)
-            sentence = sentence.translate(_TSV_ESCAPE)
-            if timestamp is not None:
-                handle.write(f"{entity}\t{timestamp!r}\t{sentence}\n")
-            else:
-                handle.write(f"{entity}\t{sentence}\n")
+            stamp = "" if timestamp is None else repr(timestamp)
+            handle.write(f"{_csv_field(entity)},{stamp},{_csv_field(sentence)}\n")
 
 
 def read_sentences(path: PathLike) -> list[tuple[str, str, str]]:
-    """(entity, timestamp text or "", sentence) per line of a sentence TSV."""
-    with _reading(path):
-        text = Path(path).read_text(encoding="utf-8-sig")
-    # Split on line feeds only: other Unicode line breaks may sit in a sentence.
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    records = []
-    for number, line in enumerate(lines, start=1):
-        fields = [_TSV_ESCAPED.sub(lambda m: _TSV_UNESCAPE[m[1]], f) for f in line.split("\t")]
-        if len(fields) == 3:
-            _floats(path, number, fields[1:2])
-        elif len(fields) != 2:
-            raise _invalid(path, number, f"{len(fields)} tab-separated fields, expected 2 or 3")
-        records.append((fields[0], fields[1] if len(fields) == 3 else "", fields[-1]))
-    return records
+    """(entity, timestamp text or "", sentence) per record of a sentence CSV;
+    its header has 3 fields, and a timestamp that is given is a finite number."""
+    records = read_csv(path, 3)
+    if len(next(records)[1]) != 3:
+        raise _invalid(path, 1, "expected the header entity_id,timestamp,sentence")
+    sentences = []
+    for line, (entity, stamp, sentence) in records:
+        if stamp:
+            _floats(path, line, [stamp])
+        sentences.append((entity, stamp, sentence))
+    return sentences
 
 
 def _csv_field(text: str) -> str:

@@ -206,8 +206,6 @@ def run_compare(config: RunConfig) -> dict:
     Returns the manifest dict (also written to manifest.json).
     """
     sources, entity_ids, labels = load_inputs(config, "compare")
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     backend = make_backend(config.embedding)
 
     with stage("features", items=len(entity_ids)):
@@ -224,6 +222,8 @@ def run_compare(config: RunConfig) -> dict:
         tab_mean, tab_sd, shash = evaluate_features(tabtext, config.evaluation)
         base_mean, base_sd, _ = evaluate_features(base, config.evaluation)
 
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     tabtext_path = out / "tabtext_features.csv"
     base_path = out / "baseline_features.csv"
     report_path = out / "report.txt"
@@ -258,8 +258,6 @@ def run_compare(config: RunConfig) -> dict:
 def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
     """Run the ablation grid and write the report files."""
     sources, entity_ids, labels = load_inputs(config, "ablation")
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     backend = make_backend(config.embedding)
 
     def builder(point: SerializationConfig) -> FeatureMatrix:
@@ -270,6 +268,8 @@ def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
     with stage("ablate", items=len(grid_points(extended))):
         report = run_ablation(builder, config.evaluation, extended)
 
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     (out / "ablation_report.txt").write_text(report.render(), encoding="utf-8")
     (out / "ablation_report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",

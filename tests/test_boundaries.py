@@ -1,11 +1,19 @@
-"""The input boundary of ``compare``: a valid 40-entity corpus and run config,
-changed one way at a time, run through ``tabtext.cli.main`` in process.
+"""The input boundary of the CLI: valid inputs changed one way at a time and
+run through ``tabtext.cli.main`` in process.
+
+``compare`` runs on a valid 40-entity corpus and run config. ``embed``,
+``aggregate`` and ``eval`` run on the stage files made from that corpus: the
+sentence CSV and the embedding CSV of its vitals table, and its baseline
+feature CSV.
 
 An input fault exits 1 with one ``validation error:`` line that names the
-file, or the source read from it, with no traceback and no output directory.
-A valid input exits 0, writes finite features, and writes the same
-``manifest.json`` bytes on a second run.
+file, or the source read from it, with no traceback and no output. A valid
+input exits 0. Under ``compare`` it writes finite features and the same
+``manifest.json`` bytes on a second run; a valid stage file gives the output
+of the unchanged file (for ``eval``, its standard output).
 """
+import csv
+import io
 import re
 import shutil
 
@@ -75,8 +83,8 @@ def valid_corpus(tmp_path_factory):
     return path
 
 
-def compare(corpus, out, embedding):
-    """``tabtext compare`` of the corpus into ``out``; its exit code."""
+def run_config(corpus, out, embedding):
+    """A run config of the corpus, with output_dir ``out``; its path."""
     config = corpus / f"{out.name}.yaml"
     config.write_text(yaml.safe_dump({
         "sources": [{"data": f"{name}.csv", "schema": f"{name}.schema.yaml"}
@@ -85,7 +93,12 @@ def compare(corpus, out, embedding):
         "embedding": {"dim": 64, **embedding},
         "output_dir": str(out),
     }))
-    return main(["compare", "--config", str(config)])
+    return config
+
+
+def compare(corpus, out, embedding):
+    """``tabtext compare`` of the corpus into ``out``; its exit code."""
+    return main(["compare", "--config", str(run_config(corpus, out, embedding))])
 
 
 @pytest.mark.parametrize("files, change, embedding, message", CASES)
@@ -110,3 +123,134 @@ def test_one_change_to_a_valid_input(
         assert np.isfinite(FeatureMatrix.from_csv(out / name).values).all()
     assert compare(corpus, tmp_path / "again", embedding) == 0
     assert (tmp_path / "again" / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+
+
+# An entity id, and a gap between two words of a sentence, that hold a comma,
+# a quote, a tab and a line break.
+AWKWARD_ID = 'p,"0"\t\n0'
+AWKWARD_GAP = ' ,"\t\n'
+
+
+def awkward(text, gap=False):
+    """The CSV ``text`` with entity p00000 renamed AWKWARD_ID and, with
+    ``gap``, the first space of each of its sentences made AWKWARD_GAP."""
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    for record in records:
+        if record[0] == "p00000":
+            record[0] = AWKWARD_ID
+            if gap:
+                record[-1] = record[-1].replace(" ", AWKWARD_GAP, 1)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(records)
+    return out.getvalue()
+
+
+def append(line):
+    return lambda text: f"{text}{line}\n"
+
+
+def last_value(value):
+    """A change that makes the last field of the last record ``value``."""
+    return lambda text: text[: text.rstrip("\n").rindex(",") + 1] + value + "\n"
+
+
+def same(output):
+    return output
+
+
+# (stage file, the change of its text, and the message after "validation
+# error: ", where <file> is the changed file's path and <last> its last line;
+# or, for a valid file, None and its expected output as a function of the
+# unchanged file's). The hashing backend splits words on all but letters and
+# digits, so AWKWARD_GAP leaves each vector as it was; p00000 is in the train
+# part of eval's split, so its new name leaves the split hash as it was.
+STAGE_CASES = [
+    pytest.param("sentences.csv", append("p2 has no comma"),
+                 "<file> line <last>: 1 fields, not 3", None, id="sentence-of-1-field"),
+    pytest.param("sentences.csv", append("p2,1.0,middle,sentence"),
+                 "<file> line <last>: 4 fields, not 3", None, id="sentence-of-4-fields"),
+    pytest.param("sentences.csv", append("p2,soon,sentence"),
+                 "<file> line <last>: could not convert string to float: 'soon'", None,
+                 id="timestamp-not-a-number"),
+    pytest.param("sentences.csv", append("p2,inf,sentence"),
+                 "<file> line <last>: 'inf' is not finite", None, id="timestamp-not-finite"),
+    pytest.param("sentences.csv", lambda t: t.replace("sentence\n", "sentence,extra\n", 1),
+                 "<file> line 1: expected the header entity_id,timestamp,sentence", None,
+                 id="sentence-header-of-4-fields"),
+    pytest.param("sentences.csv", lambda t: t.replace(",", "\t"),
+                 "<file> line 1: header has 1 fields, needs 3", None, id="tab-separated"),
+    pytest.param("sentences.csv", lambda t: "", "<file> line 1: header has 0 fields, needs 3",
+                 None, id="empty-sentence-file"),
+    pytest.param("sentences.csv", append("p2,," + "x" * 131_073),
+                 "<file> line <last>: field larger than field limit (131072)", None,
+                 id="sentence-over-the-csv-limit"),
+    pytest.param("embeddings.csv", lambda t: "entity_id\n",
+                 "<file> line 1: header has 1 fields, needs 2", None,
+                 id="embedding-header-of-1-field"),
+    pytest.param("embeddings.csv", last_value("inf"),
+                 "<file> line <last>: 'inf' is not finite", None, id="embedding-not-finite"),
+    pytest.param("features.csv", last_value("inf"),
+                 "<file> line <last>: 'inf' is not finite", None, id="feature-not-finite"),
+    pytest.param("features.csv", append("p99,0" + ",0.5" * 18),
+                 "<file> line <last>: 20 fields, not 19", None, id="feature-record-too-long"),
+    *(pytest.param(name, lambda t: t.replace("\n", "\r\n"), None, same, id=f"crlf-{name}")
+      for name in ("sentences.csv", "embeddings.csv", "features.csv")),
+    pytest.param("sentences.csv", lambda t: awkward(t, gap=True), None, awkward,
+                 id="awkward-sentences.csv"),
+    pytest.param("embeddings.csv", awkward, None, awkward, id="awkward-embeddings.csv"),
+    pytest.param("features.csv", awkward, None, same, id="awkward-features.csv"),
+]
+# The command that reads each stage file, less the file's path.
+STAGE_COMMANDS = {
+    "sentences.csv": ["embed", "--dim", "16", "--in"],
+    "embeddings.csv": ["aggregate", "--in"],
+    "features.csv": ["eval", "--features"],
+}
+
+
+@pytest.fixture(scope="module")
+def stage_files(valid_corpus, tmp_path_factory):
+    """A directory that holds the corpus's valid stage files."""
+    path = tmp_path_factory.mktemp("stages")
+    vitals = ["--data", str(valid_corpus / "vitals.csv"),
+              "--schema", str(valid_corpus / "vitals.schema.yaml")]
+    assert main(["serialize", *vitals, "--out", str(path / "sentences.csv")]) == 0
+    assert main([*STAGE_COMMANDS["sentences.csv"], str(path / "sentences.csv"),
+                 "--out", str(path / "embeddings.csv")]) == 0
+    config = run_config(valid_corpus, path / "baseline", {})
+    assert main(["baseline", "--config", str(config), "--out", str(path / "features.csv")]) == 0
+    return path
+
+
+def run_stage(path, out, capsys):
+    """(exit code, stderr, output) of the command that reads the stage file
+    at ``path``; the output is the text it writes to ``out``, or for eval its
+    standard output, and None if there is none."""
+    argv = [*STAGE_COMMANDS[path.name], str(path)]
+    if path.name != "features.csv":
+        argv += ["--out", str(out)]
+    code = main(argv)
+    stdout, err = capsys.readouterr()
+    if path.name == "features.csv":
+        return code, err, stdout or None
+    return code, err, out.read_text(encoding="utf-8") if out.exists() else None
+
+
+@pytest.mark.parametrize("name, change, message, expect", STAGE_CASES)
+def test_one_change_to_a_valid_stage_file(
+    stage_files, tmp_path, capsys, name, change, message, expect
+):
+    original = (stage_files / name).read_text(encoding="utf-8")
+    text = change(original)
+    assert text != original
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    code, err, output = run_stage(path, tmp_path / "out", capsys)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    if message is not None:
+        message = message.replace("<file>", str(path)).replace("<last>", str(text.count("\n")))
+        assert (code, err, output) == (1, f"validation error: {message}\n", None)
+        return
+    assert code == 0
+    unchanged = run_stage(stage_files / name, tmp_path / "unchanged", capsys)
+    assert unchanged[0] == 0 and output == expect(unchanged[2])

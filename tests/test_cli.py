@@ -56,8 +56,21 @@ def test_gen_corpus_command(tmp_path):
     assert (tmp_path / "c" / "demographics.csv").exists()
 
 
+def read_records(path):
+    """The records of a CSV file, its header first."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def sentence_csv(tmp_path, *records):
+    """A sentence CSV of the given records, each a line of text."""
+    path = tmp_path / "s.csv"
+    path.write_text("entity_id,timestamp,sentence\n" + "".join(f"{r}\n" for r in records))
+    return path
+
+
 def test_serialize_embed_aggregate_chain(corpus, tmp_path):
-    sentences = tmp_path / "vitals.tsv"
+    sentences = tmp_path / "sentences.csv"
     code = main(
         [
             "serialize",
@@ -67,8 +80,9 @@ def test_serialize_embed_aggregate_chain(corpus, tmp_path):
         ]
     )
     assert code == 0
-    lines = sentences.read_text().splitlines()
-    assert lines and all(len(line.split("\t")) == 3 for line in lines)
+    header, *records = read_records(sentences)
+    assert header == ["entity_id", "timestamp", "sentence"]
+    assert records and all(len(r) == 3 and float(r[1]) >= 0 for r in records)
 
     embeddings = tmp_path / "vitals_emb.csv"
     assert main(
@@ -83,8 +97,8 @@ def test_serialize_embed_aggregate_chain(corpus, tmp_path):
     assert len(rows) == 81  # header + one vector per entity
 
 
-def test_serialize_static_has_two_columns(corpus, tmp_path):
-    out = tmp_path / "demo.tsv"
+def test_serialize_static_has_empty_timestamps(corpus, tmp_path):
+    out = tmp_path / "demo.csv"
     assert main(
         [
             "serialize",
@@ -93,7 +107,9 @@ def test_serialize_static_has_two_columns(corpus, tmp_path):
             "--out", str(out),
         ]
     ) == 0
-    assert all(len(line.split("\t")) == 2 for line in out.read_text().splitlines())
+    header, *records = read_records(out)
+    assert header == ["entity_id", "timestamp", "sentence"]
+    assert records and all(len(r) == 3 and r[1] == "" for r in records)
 
 
 def test_baseline_and_eval(corpus, tmp_path, capsys):
@@ -140,6 +156,7 @@ def test_unreachable_remote_backend_exit_code(corpus, tmp_path, command, capsys)
     )
     assert main([command, "--config", str(config)]) == 3
     assert capsys.readouterr().err.splitlines()[-1].startswith("backend error: ")
+    assert not (tmp_path / "out").exists()
 
 
 FIRST_GRID_POINT = (
@@ -181,13 +198,13 @@ USAGE_FAULTS = {
     "unknown-flag": (["compare", "--config", "run.yaml", "--sead", "1"], "--sead"),
     "missing-required-flag": (["eval"], "--features"),
     "abbreviated-flag": (["eval", "--feat", "f.csv"], "--features"),
-    "value-of-the-wrong-type": (["embed", "--in", "s.tsv", "--out", "e.csv", "--dim", "x"],
+    "value-of-the-wrong-type": (["embed", "--in", "s.csv", "--out", "e.csv", "--dim", "x"],
                                 "--dim"),
     "value-not-a-choice": (["serialize", "--data", "d.csv", "--schema", "d.yaml", "--out",
-                            "s.tsv", "--missing-policy", "bogus"], "--missing-policy"),
+                            "s.csv", "--missing-policy", "bogus"], "--missing-policy"),
     # serialize reads one table, so there are no sources to combine
     "serialize-combine": (["serialize", "--data", "d.csv", "--schema", "d.yaml", "--out",
-                           "s.tsv", "--combine", "separate"], "--combine"),
+                           "s.csv", "--combine", "separate"], "--combine"),
 }
 
 
@@ -233,9 +250,8 @@ SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] /
     ],
 )
 def test_out_of_range_flag_is_usage_error(tmp_path, command, flag, value, capsys):
-    # The input is not a sentence file: the flag is checked before it is read.
-    sentences = tmp_path / "sentences.tsv"
-    sentences.write_text("p1\tfine\n")
+    # The input is a valid sentence file: only the flag is at fault.
+    sentences = sentence_csv(tmp_path, "p1,,fine")
     args = ["--out", str(tmp_path / "out")]
     if command == "embed":
         args += ["--in", str(sentences)]
@@ -365,7 +381,7 @@ def test_aggregate_reads_quoted_entity_ids(tmp_path):
 
 
 def test_embed_output_matches_repr_of_every_value(corpus, tmp_path):
-    sentences = tmp_path / "vitals.tsv"
+    sentences = tmp_path / "sentences.csv"
     assert main(
         [
             "serialize",
@@ -378,8 +394,7 @@ def test_embed_output_matches_repr_of_every_value(corpus, tmp_path):
     assert main(["embed", "--in", str(sentences), "--out", str(embeddings), "--dim", "32"]) == 0
     backend = HashingBackend(dim=32)
     expected = ["entity_id,timestamp," + ",".join(f"e{i}" for i in range(32))]
-    for line in sentences.read_text().splitlines():
-        entity, timestamp, sentence = line.split("\t")
+    for entity, timestamp, sentence in read_records(sentences)[1:]:
         vector = embed_text(sentence, backend)
         expected.append(",".join([entity, timestamp] + [repr(float(v)) for v in vector]))
     assert embeddings.read_text() == "\n".join(expected) + "\n"
@@ -404,23 +419,23 @@ def test_serialize_embed_keeps_tabs_and_line_breaks(tmp_path):
         '"p,2","back\\slash \\t not a tab\r\nend"\n'
         'p3,plain\u2028text\n'
     )
-    sentences = tmp_path / "notes.tsv"
+    sentences = tmp_path / "sentences.csv"
     assert main(
         ["serialize", "--data", str(data), "--schema", str(schema_path), "--out", str(sentences)]
     ) == 0
-    assert len(sentences.read_text().split("\n")) == 4  # three records, final newline
     embeddings = tmp_path / "emb.csv"
     assert main(["embed", "--in", str(sentences), "--out", str(embeddings), "--dim", "32"]) == 0
 
     schema = load_schema(schema_path)
     rows = parse_table(data, schema)
-    with open(embeddings, encoding="utf-8", newline="") as handle:
-        records = list(csv.reader(handle))[1:]
+    texts = [serialize_row(schema, row, SerializationConfig()) for row in rows]
+    # csv.reader reads each sentence back whole: three records after the header.
+    assert read_records(sentences)[1:] == [[row.entity_id, "", t] for row, t in zip(rows, texts)]
+    records = read_records(embeddings)[1:]
     assert [r[0] for r in records] == [row.entity_id for row in rows] == ["p1", "p,2", "p3"]
     backend = HashingBackend(dim=32)
-    for row, record in zip(rows, records):
-        sentence = serialize_row(schema, row, SerializationConfig())
-        assert [float(v) for v in record[2:]] == embed_text(sentence, backend).tolist()
+    for text, record in zip(texts, records):
+        assert [float(v) for v in record[2:]] == embed_text(text, backend).tolist()
 
 
 # sha256 of the feature CSVs that `compare` writes for `gen-corpus
@@ -485,25 +500,6 @@ def test_eval_bad_feature_csv_is_validation_error(tmp_path, body, capsys):
     assert "line 3:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "p2 no tab",
-        "p2\t1.0\tmiddle\tsentence",
-        "p2\tsoon\tsentence",
-        "p2\tinf\tsentence",
-        "p2\t\tsentence",
-    ],
-)
-def test_embed_malformed_sentence_line_is_validation_error(tmp_path, line, capsys):
-    sentences = tmp_path / "s.tsv"
-    sentences.write_text(f"p1\t1.0\tfine\n{line}\n")
-    out = tmp_path / "emb.csv"
-    assert main(["embed", "--in", str(sentences), "--out", str(out), "--dim", "8"]) == 1
-    assert "line 2:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 SERIES_NOTES_SCHEMA = """\
 meta: {table_title: Notes}
 entity_column: id
@@ -543,8 +539,8 @@ def test_cli_stages_match_in_process_features(records):
             writer.writerows((e, repr(t), note) for e, t, note in records)
         for args in (
             ["serialize", "--data", str(data), "--schema", str(schema_path),
-             "--out", str(tmp / "s.tsv")],
-            ["embed", "--in", str(tmp / "s.tsv"), "--out", str(tmp / "e.csv"), "--dim", "16"],
+             "--out", str(tmp / "s.csv")],
+            ["embed", "--in", str(tmp / "s.csv"), "--out", str(tmp / "e.csv"), "--dim", "16"],
             ["aggregate", "--in", str(tmp / "e.csv"), "--out", str(tmp / "f.csv")],
         ):
             assert main(args) == 0
@@ -735,8 +731,7 @@ def test_dim_above_the_ceiling_is_validation_error(corpus, tmp_path):
 
 
 def test_embed_dim_above_the_ceiling_is_usage_error(tmp_path, capsys):
-    sentences = tmp_path / "s.tsv"
-    sentences.write_text("p1\t1.0\tfine\n")
+    sentences = sentence_csv(tmp_path, "p1,1.0,fine")
     out = tmp_path / "emb.csv"
     assert main(["embed", "--in", str(sentences), "--out", str(out), "--dim", "65537"]) == 1
     assert capsys.readouterr().err == "validation error: dim must be in [1, 65536], not 65537\n"
@@ -747,8 +742,7 @@ def test_embed_dim_above_the_ceiling_is_usage_error(tmp_path, capsys):
 def test_flag_and_config_key_print_the_same_rule(corpus, tmp_path, key, value, capsys):
     """One rule per setting: the embed flag and the config key of a setting
     fail with the same line."""
-    sentences = tmp_path / "s.tsv"
-    sentences.write_text("p1\t1.0\tfine\n")
+    sentences = sentence_csv(tmp_path, "p1,1.0,fine")
     flag = "--" + key.replace("_", "-")
     args = ["embed", "--in", str(sentences), "--out", str(tmp_path / "emb.csv"), flag, str(value)]
     assert main(args) == 1
@@ -760,8 +754,7 @@ def test_flag_and_config_key_print_the_same_rule(corpus, tmp_path, key, value, c
 
 
 def test_embed_unknown_backend_is_validation_error(tmp_path, capsys):
-    sentences = tmp_path / "s.tsv"
-    sentences.write_text("p1\t1.0\tfine\n")
+    sentences = sentence_csv(tmp_path, "p1,1.0,fine")
     args = ["--in", str(sentences), "--out", str(tmp_path / "emb.csv")]
     assert main(["embed", *args, "--cache", str(tmp_path / "c"), "--backend", "quantum"]) == 1
     assert capsys.readouterr().err == "validation error: unknown backend 'quantum'\n"
@@ -774,7 +767,7 @@ def test_empty_entity_id_in_a_data_table_is_validation_error(corpus, tmp_path, c
     data = tmp_path / "demographics.csv"
     data.write_text("\n".join([*lines, "," + lines[1].split(",", 1)[1]]) + "\n")
     schema = corpus / "demographics.schema.yaml"
-    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.tsv")]
+    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.csv")]
     assert main(["serialize", *args]) == 1
     message = f"validation error: {data} line {len(lines) + 1}: empty entity id in column 'id'"
     assert capsys.readouterr().err.splitlines() == [message]
@@ -848,7 +841,7 @@ def test_field_over_the_csv_limit_is_validation_error(tmp_path, command, capsys)
     schema.write_text(NOTES_SCHEMA)
     args = [option, str(path)]
     if command == "serialize":
-        args += ["--schema", str(schema), "--out", str(tmp_path / "out.tsv")]
+        args += ["--schema", str(schema), "--out", str(tmp_path / "out.csv")]
     assert main([command, *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {path}") and "line 2: field larger" in err
@@ -869,7 +862,7 @@ def test_short_data_record_is_validation_error_naming_the_file(corpus, tmp_path,
     schema.write_text(NOTES_SCHEMA)
     data = tmp_path / "notes.csv"
     data.write_text("id,note\np1,fine\np2\n")
-    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.tsv")]
+    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.csv")]
     assert main(["serialize", *args]) == 1
     config = write_config(
         corpus, tmp_path / "out", sources=[{"data": str(data), "schema": str(schema)}]
@@ -885,7 +878,7 @@ def test_negative_timestamp_is_validation_error_naming_the_file(corpus, tmp_path
     schema.write_text(SERIES_NOTES_SCHEMA)
     data = tmp_path / "notes.csv"
     data.write_text("id,t,note\np1,1.0,fine\np2,-5,early\n")
-    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.tsv")]
+    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.csv")]
     assert main(["serialize", *args]) == 1
     config = write_config(
         corpus, tmp_path / "out", sources=[{"data": str(data), "schema": str(schema)}]
@@ -1016,7 +1009,7 @@ def test_split_part_without_a_class_names_train_fraction(
 
 NOT_UTF8 = {
     "eval": ("features.csv", b"entity_id,label,f0\np1,1,0.5\np2,0,\xff\n", "--features"),
-    "embed": ("sentences.tsv", b"p1\tfine\np2\tcaf\xff\n", "--in"),
+    "embed": ("sentences.csv", b"entity_id,timestamp,sentence\np1,,fine\np2,,caf\xff\n", "--in"),
     "serialize": ("notes.csv", b"id,note\np1,caf\xff\n", "--data"),
 }
 
@@ -1040,8 +1033,8 @@ def test_file_that_is_not_utf8_is_validation_error(tmp_path, command, capsys):
 BOM_INPUTS = {
     "serialize": ("notes.csv", b"id,note\np1,fine\n",
                   ["--data", "notes.csv", "--schema", "notes.schema.yaml", "--out", "out"]),
-    "embed": ("sentences.tsv", b"p1\tfine\np2\t1.5\tlater\n",
-              ["--in", "sentences.tsv", "--dim", "4", "--out", "out"]),
+    "embed": ("sentences.csv", b"entity_id,timestamp,sentence\np1,,fine\np2,1.5,later\n",
+              ["--in", "sentences.csv", "--dim", "4", "--out", "out"]),
     "aggregate": ("embeddings.csv", b"entity_id,timestamp,e0\np1,,0.5\np2,1.0,2.0\n",
                   ["--in", "embeddings.csv", "--out", "out"]),
     "eval": ("features.csv", b"entity_id,label,f0\np1,0,0.1\np2,1,0.9\np3,0,0.2\np4,1,0.8\n",
@@ -1076,7 +1069,7 @@ def test_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, command, caps
 
 
 def test_concurrent_runs_share_one_cache_and_match_a_run_without_it(corpus, tmp_path):
-    sentences = tmp_path / "vitals.tsv"
+    sentences = tmp_path / "sentences.csv"
     args = ["--schema", str(corpus / "vitals.schema.yaml"), "--out", str(sentences)]
     assert main(["serialize", "--data", str(corpus / "vitals.csv"), *args]) == 0
     embed = ["embed", "--in", str(sentences), "--dim", "32"]
@@ -1113,8 +1106,7 @@ def unusable_cache(tmp_path: Path, case: str) -> Path:
 @pytest.mark.parametrize("case", ["not-a-database", "a-file", "under-a-file"])
 def test_unusable_cache_is_backend_error_naming_the_file(tmp_path, case, capsys):
     cache = unusable_cache(tmp_path, case)
-    sentences = tmp_path / "s.tsv"
-    sentences.write_text("p1\tfine\n")
+    sentences = sentence_csv(tmp_path, "p1,,fine")
     args = ["--in", str(sentences), "--out", str(tmp_path / "e.csv"), "--cache", str(cache)]
     assert main(["embed", *args]) == 3
     err = capsys.readouterr().err
@@ -1138,11 +1130,11 @@ def test_bad_schema_file_is_validation_error_naming_the_file(tmp_path, case, cap
     schema.write_bytes(text.encode("utf-8", "surrogateescape"))
     data = tmp_path / "notes.csv"
     data.write_text("id,note\np1,x\n")
-    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.tsv")]
+    args = ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "s.csv")]
     assert main(["serialize", *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {schema}: ") and key in err
-    assert not (tmp_path / "s.tsv").exists()
+    assert not (tmp_path / "s.csv").exists()
 
 
 def command_reading(kind: str, path: Path, corpus: Path, tmp_path: Path) -> list[str]:
@@ -1159,14 +1151,14 @@ def command_reading(kind: str, path: Path, corpus: Path, tmp_path: Path) -> list
         "serialize --data": ["serialize", "--data", str(path), "--schema", schema, "--out", out],
         "serialize --schema": ["serialize", "--data", data, "--schema", str(path), "--out", out],
         "config": ["compare", "--config", str(path)],
-        "sentence TSV": ["embed", "--in", str(path), "--out", out, "--cache", out],
+        "sentence CSV": ["embed", "--in", str(path), "--out", out, "--cache", out],
         "embedding CSV": ["aggregate", "--in", str(path), "--out", out],
         "feature CSV": ["eval", "--features", str(path)],
     }[kind]
 
 
 INPUT_KINDS = ["data", "schema", "labels", "serialize --data", "serialize --schema", "config",
-               "sentence TSV", "embedding CSV", "feature CSV"]
+               "sentence CSV", "embedding CSV", "feature CSV"]
 UNREADABLE = {"missing": "No such file or directory", "directory": "Is a directory"}
 
 
@@ -1187,8 +1179,7 @@ def test_unreadable_input_is_validation_error_naming_the_file(
 def test_unwritable_output_is_error_naming_the_file(corpus, tmp_path, command, capsys):
     """An --out that is a directory, or an output_dir that is a file."""
     out = tmp_path / "out"
-    sentences = tmp_path / "s.tsv"
-    sentences.write_text("p1\tfine\n")
+    sentences = sentence_csv(tmp_path, "p1,,fine")
     args = {
         "serialize": ["--data", str(corpus / "vitals.csv"),
                       "--schema", str(corpus / "vitals.schema.yaml"), "--out", str(out)],
