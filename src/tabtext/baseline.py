@@ -155,15 +155,15 @@ def build_baseline_features(
         latest = [max(r, key=lambda row: row.timestamp) if r else None for r in per_entity]
         if schema.time_column is not None:
             ordered = [sorted(r, key=attrgetter("timestamp")) for r in per_entity]
-        for col in schema.value_columns:
+        for j, col in enumerate(schema.value_columns):
             if col.kind is ColumnKind.NUMERIC and schema.time_column is not None:
                 series = [[value for row in entity_rows
-                           if (value := _number(row.cells[col.name])) is not None]
+                           if (value := _number(row.cells[j])) is not None]
                           for entity_rows in ordered]
                 names.extend(f"{source}.{col.name}.{stat}" for stat in SERIES_STATS)
                 columns.extend(_column_statistics(source, col.name, universe, series).T)
                 continue
-            cells = [CellValue.absent("") if row is None else row.cells[col.name] for row in latest]
+            cells = [CellValue.absent("") if row is None else row.cells[j] for row in latest]
             if col.kind is ColumnKind.NUMERIC:
                 names.append(f"{source}.{col.name}")
                 columns.append(np.array([_number(cell, 0.0) for cell in cells]))

@@ -8,6 +8,7 @@ written, 2 stage failure, 3 backend failure. Stage logs go to standard error.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 from pathlib import Path
@@ -38,10 +39,13 @@ def serialize(data, schema, out_path, **axes):
     table_schema = load_schema(schema)
     rows = parse_table(data, table_schema)
     config = from_dict(SerializationConfig, axes, "serialization")
-    write_sentences(
-        out_path,
-        ((row.entity_id, row.timestamp, serialize_row(table_schema, row, config)) for row in rows),
-    )
+    records = [(r.entity_id, r.timestamp, serialize_row(table_schema, r, config)) for r in rows]
+    limit = csv.field_size_limit()  # the longest field that embed reads
+    for entity, _, text in records:  # each checked before the file is opened
+        if len(text) > limit:
+            raise ValidationError(f"{data}: the sentence of entity '{entity}' has {len(text)} "
+                                  f"characters, over the CSV field limit ({limit})")
+    write_sentences(out_path, records)
     print(f"wrote {len(rows)} sentences to {out_path}")
 
 
@@ -84,7 +88,10 @@ def eval_cmd(features_path, **split):
     """Split, fit the built-in classifier, and print test AUROC."""
     spec = SplitSpec(**split)
     matrix = FeatureMatrix.from_csv(features_path)
-    score, _, shash = evaluate_features(matrix, spec)
+    try:
+        score, _, shash = evaluate_features(matrix, spec)
+    except ValidationError as exc:  # the matrix came from the file: name it
+        raise ValidationError(f"{features_path}: {exc}") from None
     print(f"test AUROC: {score:.6f} (split {shash})")
 
 

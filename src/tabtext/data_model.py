@@ -123,7 +123,7 @@ def _parse_finite(raw: str) -> Optional[float]:
 @dataclass(frozen=True, slots=True)
 class Row:
     entity_id: str
-    cells: Mapping[str, CellValue]
+    cells: tuple[CellValue, ...]  # one per column of schema.value_columns, in order
     timestamp: Optional[float] = None
 
 
@@ -206,7 +206,7 @@ def schema_from_dict(doc: object) -> TableSchema:
 
 def parse_table(path: PathLike, schema: TableSchema) -> list[Row]:
     """Parse the CSV file at ``path``, read by :func:`~tabtext.formats.read_csv`,
-    into typed rows.
+    into typed rows, each with a tuple of cells in ``schema.value_columns`` order.
 
     The header names each schema column once, and every row has a non-empty
     entity id. Fields whose lowercased value is in ``MISSING_TOKENS`` become
@@ -222,18 +222,18 @@ def parse_table(path: PathLike, schema: TableSchema) -> list[Row]:
     for col in schema.columns:
         if col.name not in header:
             raise _invalid(path, 1, f"header is missing schema column '{col.name}'")
-    positions = [(col.name, header.index(col.name)) for col in schema.columns]
+    at = {col.name: header.index(col.name) for col in schema.columns}
+    positions = [at[col.name] for col in schema.value_columns]
 
     memo = _CellMemo()
     rows: list[Row] = []
     for line, record in records:
-        cells = {name: memo[record[position]] for name, position in positions}
-        entity_id = cells[schema.entity_column].raw
+        entity_id = memo[record[at[schema.entity_column]]].raw  # one string per distinct id
         if not entity_id:
             raise _invalid(path, line, f"empty entity id in column '{schema.entity_column}'")
         timestamp = None
         if schema.time_column is not None:
-            tcell = cells[schema.time_column]
+            tcell = memo[record[at[schema.time_column]]]
             timestamp = tcell.parsed
             if timestamp is None or timestamp < 0:
                 raise _invalid(
@@ -242,7 +242,7 @@ def parse_table(path: PathLike, schema: TableSchema) -> list[Row]:
                     f"{'unparseable' if timestamp is None else 'negative'} timestamp "
                     f"{tcell.raw!r} in column '{schema.time_column}'",
                 )
-        rows.append(Row(entity_id=entity_id, cells=cells, timestamp=timestamp))
+        rows.append(Row(entity_id, tuple([memo[record[i]] for i in positions]), timestamp))
     return rows
 
 

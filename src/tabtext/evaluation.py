@@ -51,7 +51,7 @@ def split(
         if labels is None:
             raise ValidationError("stratified split requires labels")
         labels = np.asarray(labels)
-        classes = np.unique(labels)
+        classes = sorted(set(labels.tolist()))  # np.unique would import numpy.ma
         if len(classes) < 2:
             raise ValidationError("stratified split requires both classes present")
         targets = {c: spec.train_fraction * np.sum(labels == c) for c in classes}
@@ -238,7 +238,7 @@ def fit_linear_classifier(
     column gets weight 0. Fully deterministic.
     """
     y = np.asarray(y, dtype=np.float64)
-    if len(np.unique(y)) < 2:
+    if len(set(y.tolist())) < 2:
         raise ValidationError("cannot fit a classifier on a single class")
     X = np.asarray(X, dtype=np.float64)
     mean, std = _column_moments(X, rows)

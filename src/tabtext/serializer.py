@@ -60,8 +60,8 @@ def serialize_row(schema: TableSchema, row: Row, config: SerializationConfig) ->
     title (and description, when present) prefix the sentence.
     """
     fragments = []
-    for col in schema.value_columns:
-        fragment = serialize_cell(col, row.cells[col.name], config)
+    for col, cell in zip(schema.value_columns, row.cells):
+        fragment = serialize_cell(col, cell, config)
         if fragment is not None:
             fragments.append(fragment)
     body = "; ".join(fragments) + "." if fragments else ""

@@ -174,18 +174,10 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
 
     demo_lines = ["id,age,gender,bmi,note_a,note_b,note_c,diagnosis"]
     for i in range(n):
-        demo_lines.append(
-            ",".join(
-                [
-                    ids[i],
-                    f"{age[i]:.1f}",
-                    str(gender[i]),
-                    missing_token if bmi_missing[i] else f"{bmi[i]:.1f}",
-                    *[missing_token if note_missing[i, k] else notes[i][k] for k in range(3)],
-                    diagnosis[i],
-                ]
-            )
-        )
+        bmi_text = missing_token if bmi_missing[i] else f"{bmi[i]:.1f}"
+        note_texts = [missing_token if note_missing[i, k] else notes[i][k] for k in range(3)]
+        fields = [ids[i], f"{age[i]:.1f}", str(gender[i]), bmi_text, *note_texts, diagnosis[i]]
+        demo_lines.append(",".join(fields))
 
     vitals_lines = ["id,hour,heart_rate,resp_rate"]
     for i in range(n):
@@ -194,9 +186,7 @@ def generate(spec: CorpusSpec, out_dir: Union[str, Path]) -> Path:
         hr = normal("heart_rate", y[i], size=n_obs)
         rr = normal("resp_rate", y[i], size=n_obs)
         for k in range(n_obs):
-            vitals_lines.append(
-                f"{ids[i]},{hours[k]:.1f},{hr[k]:.1f},{rr[k]:.1f}"
-            )
+            vitals_lines.append(f"{ids[i]},{hours[k]:.1f},{hr[k]:.1f},{rr[k]:.1f}")
 
     label_lines = ["entity_id,label"]
     label_lines.extend(f"{ids[i]},{int(y[i])}" for i in range(n))
@@ -256,12 +246,16 @@ def oracle_scores(
     entity_ids, labels = load_labels(out / "labels.csv")
     scores = dict.fromkeys(entity_ids, 0.0)
 
+    at: dict[str, int] = {}  # a column's position in its rows' cells; the tables share no name
+
     def table(name: str) -> list[Row]:
-        return parse_table(out / f"{name}.csv", load_schema(out / f"{name}.schema.yaml"))
+        schema = load_schema(out / f"{name}.schema.yaml")
+        at.update((c.name, i) for i, c in enumerate(schema.value_columns))
+        return parse_table(out / f"{name}.csv", schema)
 
     def gauss_llr(row: Row, column: str) -> float:
         mean_neg, shift, std = NORMAL[column]
-        x, mean_pos = row.cells[column].parsed, mean_neg + shift
+        x, mean_pos = row.cells[at[column]].parsed, mean_neg + shift
         return ((x - mean_neg) ** 2 - (x - mean_pos) ** 2) / (2 * std**2)
 
     def bern_llr(p_pos: float, p_neg: float) -> dict[bool, float]:
@@ -273,13 +267,13 @@ def oracle_scores(
         # shifted and no diagnosis holds a signal word.
         missing = bern_llr(P_MISSING_POS, P_MISSING_NEG)
         for row in table("demographics"):
-            notes = (row.cells[c].missing for c in ("note_a", "note_b", "note_c"))
+            notes = (row.cells[at[c]].missing for c in ("note_a", "note_b", "note_c"))
             scores[row.entity_id] += sum(missing[m] for m in notes)
     else:
         # Missingness has one rate in both classes, so its LLR is 0.
         signal = bern_llr(P_SIGNAL_POS, P_SIGNAL_NEG)
         for row in table("demographics"):
-            hit = row.cells["diagnosis"].raw in SIGNAL_WORDS
+            hit = row.cells[at["diagnosis"]].raw in SIGNAL_WORDS
             scores[row.entity_id] += gauss_llr(row, "age") + signal[hit]
         for row in table("vitals"):
             scores[row.entity_id] += gauss_llr(row, "heart_rate")

@@ -28,8 +28,8 @@ def aggregate_timed(
     """Aggregate one entity's (timestamp, embedding) pairs with timestamp weights.
 
     All-zero timestamps fall back to the unweighted mean (normalized) or the
-    zero vector (unnormalized). Summation order is fixed by sorting on
-    (timestamp, input index) so results are bit-reproducible under shuffling.
+    zero vector (unnormalized). Rows are summed in (timestamp, input index)
+    order, so shuffling rows with tied timestamps can change the low bits.
     A weight sum or weighted sum that overflows raises ``FloatingPointError``.
     """
     if len(series) == 0:

@@ -4,7 +4,7 @@ run through ``tabtext.cli.main`` in process.
 ``compare`` runs on a valid 40-entity corpus and run config. ``embed``,
 ``aggregate`` and ``eval`` run on the stage files made from that corpus: the
 sentence CSV and the embedding CSV of its vitals table, and its baseline
-feature CSV.
+feature CSV. ``serialize`` refuses a sentence that ``embed`` could not read.
 
 An input fault exits 1 with one ``validation error:`` line that names the
 file, or the source read from it, with no traceback and no output. A valid
@@ -193,6 +193,8 @@ STAGE_CASES = [
                  "<file> line <last>: 'inf' is not finite", None, id="feature-not-finite"),
     pytest.param("features.csv", append("p99,0" + ",0.5" * 18),
                  "<file> line <last>: 20 fields, not 19", None, id="feature-record-too-long"),
+    pytest.param("features.csv", lambda t: t.splitlines(True)[0],
+                 "<file>: need at least 2 entities to split", None, id="header-only-features"),
     *(pytest.param(name, lambda t: t.replace("\n", "\r\n"), None, same, id=f"crlf-{name}")
       for name in ("sentences.csv", "embeddings.csv", "features.csv")),
     pytest.param("sentences.csv", lambda t: awkward(t, gap=True), None, awkward,
@@ -254,3 +256,23 @@ def test_one_change_to_a_valid_stage_file(
     assert code == 0
     unchanged = run_stage(stage_files / name, tmp_path / "unchanged", capsys)
     assert unchanged[0] == 0 and output == expect(unchanged[2])
+
+
+def test_sentence_over_the_csv_limit_is_refused_by_serialize(valid_corpus, tmp_path, capsys):
+    # A note of as many characters as csv reads in one field: the table is
+    # read, but its sentence is longer, so embed could not read it back.
+    note = "x" * 131_072
+    data = tmp_path / "demographics.csv"
+    text = (valid_corpus / "demographics.csv").read_text(encoding="utf-8")
+    data.write_text(f"{text}p99,,,,{note},,,\n", encoding="utf-8")
+    sentence = ("Demographics: patient background and admission diagnosis. age is missing; "
+                f"gender is missing; bmi is missing; first note is {note}; second note is "
+                "missing; third note is missing; diagnosis is missing.")
+    out = tmp_path / "sentences.csv"
+    schema = valid_corpus / "demographics.schema.yaml"
+    code = main(["serialize", "--data", str(data), "--schema", str(schema), "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert (code, stdout, err) == (1, "", (
+        f"validation error: {data}: the sentence of entity 'p99' has {len(sentence)} "
+        "characters, over the CSV field limit (131072)\n"))
+    assert not out.exists()

@@ -824,6 +824,18 @@ def test_each_table_is_grouped_once_per_run(corpus40, tmp_path, monkeypatch, com
     assert grouped == ["demographics", "vitals"]
 
 
+@pytest.mark.parametrize("command", ["compare", "ablate"])
+def test_a_run_loads_no_masked_arrays(corpus40, tmp_path, command):
+    # numpy.ma costs a run about 1 MB; np.unique imports it unless told to return indices.
+    config = write_config(corpus40, tmp_path / "out")
+    code = (f"import sys, tabtext.cli; assert tabtext.cli.main([{command!r}, '--config', "
+            f"{str(config)!r}]) == 0; print('numpy.ma' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=SRC_ENV
+    )
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 # A field longer than csv's limit of 131,072 characters.
 OVERSIZED = "x" * 200_000
 OVERSIZED_FILES = {

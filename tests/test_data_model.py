@@ -77,18 +77,18 @@ class TestParseTable:
         rows = parse_text("id,age\np1,50\n", make_schema())
         assert len(rows) == 1
         assert rows[0].entity_id == "p1"
-        cell = rows[0].cells["age"]
+        cell = rows[0].cells[0]
         assert (cell.raw, cell.parsed, cell.missing) == ("50", 50.0, False)
 
     def test_missing_token_preserved(self, parse_text):
         rows = parse_text("id,age\np2,NaN\n", make_schema())
-        cell = rows[0].cells["age"]
+        cell = rows[0].cells[0]
         assert cell.missing and cell.raw == "NaN"
 
     def test_default_missing_tokens_case_insensitive(self, parse_text):
         rows = parse_text("id,age\np1,\np2,na\np3,NULL\np4,nAn\n", make_schema())
-        assert all(r.cells["age"].missing for r in rows)
-        assert [r.cells["age"].raw for r in rows] == ["", "na", "NULL", "nAn"]
+        assert all(r.cells[0].missing for r in rows)
+        assert [r.cells[0].raw for r in rows] == ["", "na", "NULL", "nAn"]
 
     def test_corpus_size_convention(self, parse_text):
         lines = "id,age\n" + "".join(f"p{i},{i}\n" for i in range(1590))
@@ -142,7 +142,7 @@ class TestParseTable:
     def test_round_trip_present_raws(self, parse_text):
         text = "id,age\np1,050\np2,5e1\np3, 50\n"
         rows = parse_text(text, make_schema())
-        raws = [r.cells["age"].raw for r in rows]
+        raws = [r.cells[0].raw for r in rows]
         assert raws == ["050", "5e1", " 50"]
 
     def test_deterministic_and_order_preserving(self, parse_text):
@@ -153,17 +153,26 @@ class TestParseTable:
         assert first == second
         assert [r.entity_id for r in first] == [f"p{i}" for i in range(50)]
 
+    def test_cells_are_a_tuple_in_value_column_order(self, parse_text):
+        # The header's order is not the schema's; the id and time columns hold no cell.
+        schema = make_schema(time_column="t", extra_cols=(ColumnSpec("note", ColumnKind.FREE_TEXT),))
+        rows = parse_text("note,t,age,id\nhi,1.5,50,p1\n", schema)
+        assert [c.name for c in schema.value_columns] == ["age", "note"]
+        assert type(rows[0].cells) is tuple
+        assert [c.raw for c in rows[0].cells] == ["50", "hi"]
+        assert (rows[0].entity_id, rows[0].timestamp) == ("p1", 1.5)
+
     def test_only_missing_tokens_become_missing(self, parse_text):
         rows = parse_text("id,age\np1,zero\np2,0\n", make_schema())
-        assert not rows[0].cells["age"].missing
-        assert not rows[1].cells["age"].missing
+        assert not rows[0].cells[0].missing
+        assert not rows[1].cells[0].missing
 
 
 class TestGroupRows:
     def test_series_rows_keep_their_order_per_entity(self, parse_text):
         rows = parse_text("id,age,t\np2,1,9\np1,2,5\np2,3,1\n", make_schema("t"))
         grouped = group_rows("vitals", make_schema("t"), rows, ["p1", "p2"])
-        assert {e: [r.cells["age"].raw for r in rs] for e, rs in grouped.items()} == {
+        assert {e: [r.cells[0].raw for r in rs] for e, rs in grouped.items()} == {
             "p2": ["1", "3"],
             "p1": ["2"],
         }

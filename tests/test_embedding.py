@@ -178,6 +178,11 @@ class TestCachingBackend:
         b = CachingBackend(HashingBackend(dim=8), tmp_path / "c")
         assert key_a != b._key("hello")
 
+    def test_page_cache_is_capped_at_256_kib(self, tmp_path):
+        # sqlite's default of 2,000 KiB held 1.8 MB more after 828 stores.
+        cached = CachingBackend(StubBackend(), tmp_path)
+        assert cached._db.execute("PRAGMA cache_size").fetchone() == (-256,)
+
     def test_batch_above_sqlite_parameter_limit_is_looked_up(self, tmp_path):
         # One more key than this sqlite build binds in one statement, all hits.
         with contextlib.closing(sqlite3.connect(":memory:")) as db:

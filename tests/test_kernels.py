@@ -137,7 +137,8 @@ def frozen_parse_table(path, schema):
                     f"{'unparseable' if timestamp is None else 'negative'} timestamp "
                     f"{tcell.raw!r} in column '{schema.time_column}'",
                 )
-        rows.append(Row(entity_id=entity_id, cells=cells, timestamp=timestamp))
+        value_cells = tuple(cells[c.name] for c in schema.value_columns)
+        rows.append(Row(entity_id=entity_id, cells=value_cells, timestamp=timestamp))
     return rows
 
 
@@ -443,12 +444,12 @@ def test_series_statistics_match_one_array_per_series_on_any_values(series):
     assert series_statistics(series).tobytes() == frozen_rows(want).tobytes()
 
 
-def frozen_baseline_stats(universe, rows, column):
-    """The old build_baseline_features loop's statistics of one series column,
-    one row per entity."""
+def frozen_baseline_stats(universe, rows, position):
+    """The old build_baseline_features loop's statistics of the series column
+    at ``position`` in the rows' cells, one row per entity."""
     per_entity = {e: [] for e in universe}
     for row in rows:
-        cell = row.cells[column]
+        cell = row.cells[position]
         if not cell.missing and cell.parsed is not None:
             per_entity[row.entity_id].append((row.timestamp, cell.parsed))
     return frozen_rows([frozen_summarize_series(per_entity[e]) for e in universe])
@@ -464,9 +465,7 @@ def series_rows(rng, universe, scale):
         for stamp, value in random_series(rng, LENGTHS[i % len(LENGTHS)], scale):
             x, y = (cells[k] if k < 3 else CellValue(repr(value), value)
                     for k in rng.integers(12, size=2))
-            rows.append(Row(entity, {"id": CellValue(entity), "t": CellValue(repr(stamp), stamp),
-                                     "x": x, "y": y, "c": CellValue.absent(""),
-                                     "s": CellValue.absent("")}, stamp))
+            rows.append(Row(entity, (x, y, CellValue.absent(""), CellValue.absent("")), stamp))
     return [rows[i] for i in rng.permutation(len(rows))]
 
 
@@ -480,7 +479,7 @@ def test_baseline_series_statistics_match_one_array_per_entity(scale):
     for k, column in enumerate(("x", "y")):
         got = features.values[:, 6 * k : 6 * k + 6]
         assert features.feature_names[6 * k] == f"v.{column}.mean"
-        want = frozen_baseline_stats(universe, rows, column)
+        want = frozen_baseline_stats(universe, rows, k)
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
@@ -488,9 +487,7 @@ def test_baseline_overflow_names_the_first_entity_in_universe_order():
     # e0 and e2 share a length; the stacked pair overflows through e2, but e1
     # (a longer series) comes first in the universe.
     series = {"e0": [1.0, 2.0], "e1": [1e308, -1e308, 1e308], "e2": [1e308, 1e308]}
-    rows = [Row(e, {"id": CellValue(e), "t": CellValue(str(t), float(t)),
-                    "x": CellValue(repr(v), v), "y": CellValue.absent(""),
-                    "c": CellValue.absent(""), "s": CellValue.absent("")}, float(t))
+    rows = [Row(e, (CellValue(repr(v), v), *[CellValue.absent("")] * 3), float(t))
             for e, values in series.items() for t, v in enumerate(values)]
     with pytest.raises(FloatingPointError) as frozen:
         frozen_summarize_series(list(enumerate(series["e1"])))

@@ -93,11 +93,10 @@ SCHEMA = TableSchema(
 
 
 def make_row(age="50", gender="female", missing=()):
-    cells = {
-        "id": CellValue.present("p1"),
-        "age": CellValue.absent("NaN") if "age" in missing else CellValue.present(age),
-        "gender": CellValue.absent("") if "gender" in missing else CellValue.present(gender),
-    }
+    cells = (
+        CellValue.absent("NaN") if "age" in missing else CellValue.present(age),
+        CellValue.absent("") if "gender" in missing else CellValue.present(gender),
+    )
     from tabtext.data_model import Row
 
     return Row(entity_id="p1", cells=cells)
@@ -155,11 +154,7 @@ class TestSerializeRow:
 
         row = Row(
             entity_id="p1",
-            cells={
-                "id": CellValue.present("p1"),
-                "t": CellValue.present("3.5"),
-                "hr": CellValue.present("80"),
-            },
+            cells=(CellValue.present("80"),),
             timestamp=3.5,
         )
         assert serialize_row(schema, row, config()) == "hr is 80."

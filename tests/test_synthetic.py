@@ -54,7 +54,7 @@ class TestGenerate:
     def test_zero_missingness_boundary(self, tmp_path):
         generate(CorpusSpec(seed=2, n_entities=50, missingness_rate=0.0), tmp_path)
         demo, _ = load_corpus_sources(tmp_path)
-        assert not any(c.missing for row in demo[2] for c in row.cells.values())
+        assert not any(c.missing for row in demo[2] for c in row.cells)
 
     def test_same_seed_byte_identical(self, tmp_path):
         generate(CorpusSpec(seed=3, n_entities=40), tmp_path / "a")
@@ -79,7 +79,7 @@ class TestGenerate:
         tokens = {
             c.raw
             for row in demo[2]
-            for c in row.cells.values()
+            for c in row.cells
             if c.missing
         }
         assert tokens == {""}
