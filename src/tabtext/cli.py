@@ -64,7 +64,7 @@ def aggregate(in_path, out_path, **options):
     names, grouped = read_embeddings(in_path)
     values = np.empty((len(grouped), len(names)), dtype=np.float64)
     for i, (entity, entries) in enumerate(grouped.items()):
-        values[i] = aggregate_entity([(in_path, entries)], normalize, entity)[0]
+        values[i] = aggregate_entity(in_path, entity, entries, normalize)
     matrix = FeatureMatrix(entity_ids=list(grouped), feature_names=names, values=values)
     matrix.to_csv(out_path)
     print(f"wrote {len(grouped)} entity vectors to {out_path}")

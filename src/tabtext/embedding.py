@@ -60,8 +60,14 @@ class EmbeddingConfig:
             raise ValidationError("max_chars must be positive")
         if not isinstance(self.url, (str, type(None))):
             raise ValidationError(f"'url' in embedding must be a string, not {self.url!r}")
+        if self.url and not _is_http(self.url):
+            raise ValidationError(f"url must be an http(s) URL, not {self.url!r}")
         if self.backend == "remote" and not self.url:
             raise ValidationError("the remote backend requires a 'url'")
+
+
+def _is_http(url: str) -> bool:
+    return url.split(":", 1)[0].lower() in ("http", "https")
 
 
 def _tokens(text: str) -> list[bytes]:
@@ -171,7 +177,7 @@ class RemoteBackend:
         from http.client import HTTPException
 
         # urllib would also open file:, ftp: and data: URLs.
-        if self.url.split(":", 1)[0].lower() not in ("http", "https"):
+        if not _is_http(self.url):
             raise BackendError(f"embedding service unreachable: {self.url!r} is not http(s)")
         data = json.dumps({"texts": list(texts)}).encode("utf-8")
         try:

@@ -330,12 +330,12 @@ class AblationReport:
         }
 
 
-def grid_points(extended: bool = False) -> list[SerializationConfig]:
-    """The 16-point ablation grid over every axis but the last (source
-    combination), which keeps its default; the extended grid adds it, for 32."""
+def grid_points(base: SerializationConfig, extended: bool = False) -> list[SerializationConfig]:
+    """The 16-point ablation grid: ``base`` with every axis but the last
+    (source combination) filled in; the extended grid fills that in too, for 32."""
     names = list(AXES)[: None if extended else -1]
     return [
-        SerializationConfig(**dict(zip(names, values)))
+        replace(base, **dict(zip(names, values)))
         for values in product(*(AXES[name][1] for name in names))
     ]
 
@@ -381,9 +381,9 @@ def evaluate_features(
 def run_ablation(
     feature_builder: Callable[[SerializationConfig], FeatureMatrix],
     spec: SplitSpec,
-    extended: bool = False,
+    points: Sequence[SerializationConfig],
 ) -> AblationReport:
-    """Evaluate every grid point under the same ``spec.repeats`` seeded splits.
+    """Evaluate each grid point of ``points`` under the same ``spec.repeats`` splits.
 
     ``feature_builder`` maps a serialization config to the labeled feature
     matrix (serialize -> embed -> aggregate). Every point uses the same split
@@ -392,7 +392,7 @@ def run_ablation(
     point runs as the stage ``ablate {point}``, which logs its wall time.
     """
     rows = []
-    for config in grid_points(extended):
+    for config in points:
         with stage(f"ablate {to_dict(config)}"):
             score, sd, shash = evaluate_features(feature_builder(config), spec)
         rows.append(AblationRow(config, score, shash, sd))

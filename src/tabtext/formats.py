@@ -77,16 +77,23 @@ def write_sentences(path: PathLike, records: Iterable[tuple[str, Optional[float]
             handle.write(f"{_csv_field(entity)},{stamp},{_csv_field(sentence)}\n")
 
 
+def _timestamp(path: PathLike, line: int, entity: str, stamp: str) -> Optional[float]:
+    """A stage-file record's timestamp, None for an empty text; it is finite and not negative."""
+    timestamp = float(_floats(path, line, [stamp])[0]) if stamp else None
+    if timestamp is not None and timestamp < 0:
+        raise _invalid(path, line, f"negative timestamp {stamp!r} of entity '{entity}'")
+    return timestamp
+
+
 def read_sentences(path: PathLike) -> list[tuple[str, str, str]]:
     """(entity, timestamp text or "", sentence) per record of a sentence CSV;
-    its header has 3 fields, and a timestamp that is given is a finite number."""
+    its header has 3 fields, and its timestamps are read by :func:`_timestamp`."""
     records = read_csv(path, 3)
     if len(next(records)[1]) != 3:
         raise _invalid(path, 1, "expected the header entity_id,timestamp,sentence")
     sentences = []
     for line, (entity, stamp, sentence) in records:
-        if stamp:
-            _floats(path, line, [stamp])
+        _timestamp(path, line, entity, stamp)
         sentences.append((entity, stamp, sentence))
     return sentences
 
@@ -167,15 +174,13 @@ def write_embeddings(path: PathLike, dim: int, records: Iterable[tuple[str, str,
 def read_embeddings(path: PathLike) -> tuple[list[str], dict[str, list[Timed]]]:
     """Vector column names of an embedding CSV, and its rows per entity. An
     entity has one row without a timestamp, or rows that all have one, and no
-    timestamp is negative; a row that breaks this is a ValidationError naming
-    its line and its entity."""
+    timestamp is negative (:func:`_timestamp`); a row that breaks this is a
+    ValidationError naming its line and its entity."""
     records = read_csv(path, 2)
     _, header = next(records)
     grouped: dict[str, list[Timed]] = {}
     for line, (entity, stamp, *values) in records:
-        timestamp = float(_floats(path, line, [stamp])[0]) if stamp else None
-        if timestamp is not None and timestamp < 0:
-            raise _invalid(path, line, f"negative timestamp {stamp!r} of entity '{entity}'")
+        timestamp = _timestamp(path, line, entity, stamp)
         entries = grouped.setdefault(entity, [])
         if entries and None in (timestamp, entries[0][0]):
             both = timestamp is None and entries[0][0] is None

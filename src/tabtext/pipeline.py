@@ -143,45 +143,36 @@ def build_tabtext_features(
     backend: EmbeddingBackend,
     normalize: bool = True,
 ) -> FeatureMatrix:
-    """Serialize, embed, and aggregate every entity into its row of one
-    feature matrix, which is allocated once and filled in place.
+    """Serialize, embed, and aggregate each source into one block of every
+    entity's row of the feature matrix, a source at a time.
 
     ``entity_ids`` is the entity universe, and each source comes with its
-    rows by entity, as :func:`load_inputs` groups them. Only this function
-    combines sources: separate mode concatenates one embedding block per
-    source; single-paragraph mode embeds all static sources' sentences as one
-    paragraph per entity and averages it with the per-source time-series
-    aggregates, so the width stays the backend dimension.
+    rows by entity, as :func:`load_inputs` groups them; an entity without
+    rows in a source keeps a zero block. Only this function combines
+    sources: separate mode lays one block per source side by side, in source
+    order; single-paragraph mode embeds each entity's static sentences,
+    joined by spaces, as one paragraph, its block 0, and averages it with one
+    block per time-series source, so the width stays the backend dimension.
     """
     universe = list(entity_ids)
     single = ser_config.combine_sources is CombineMode.SINGLE_PARAGRAPH
-
-    if single:
-        names = [f"text.e{i}" for i in range(backend.dim)]
-    else:
-        names = [f"{name}.e{i}" for name, _, _ in sources for i in range(backend.dim)]
-    values = np.empty((len(universe), len(names)), dtype=np.float64)
-    zero = np.zeros(backend.dim, dtype=np.float64)
+    statics = [s for s in sources if single and s[1].time_column is None]
+    blocks = [s for s in sources if not (single and s[1].time_column is None)]
+    parts = np.zeros((len(universe), bool(statics) + len(blocks), backend.dim))
     for i, entity in enumerate(universe):
-        parts: list[tuple[str, list[tuple[Optional[float], np.ndarray]]]] = []
-        static_texts: list[str] = []
-        for name, schema, per_entity in sources:
-            entries = [
-                (row.timestamp, serialize_row(schema, row, ser_config))
-                for row in per_entity.get(entity, [])
-            ]
-            if schema.time_column is None:
-                entries = entries or [(None, "")]
-                if single:
-                    static_texts.append(entries[0][1])
-                    continue
-            timed = [(t, embed_text(text, backend)) for t, text in entries]
-            parts.append((name, timed or [(None, zero)]))
-        if static_texts:
-            merged = embed_text(" ".join(static_texts), backend)
-            parts.insert(0, ("static", [(None, merged)]))
-        vectors = aggregate_entity(parts, normalize, entity)
-        values[i] = np.stack(vectors).mean(axis=0) if single else np.concatenate(vectors)
+        texts = [serialize_row(schema, row, ser_config)
+                 for _, schema, per_entity in statics for row in per_entity.get(entity, ())]
+        if texts:
+            parts[i, 0] = embed_text(" ".join(texts), backend)
+    for b, (name, schema, per_entity) in enumerate(blocks, start=bool(statics)):
+        for i, entity in enumerate(universe):
+            if rows := per_entity.get(entity):
+                texts = [serialize_row(schema, row, ser_config) for row in rows]
+                embedded = [(row.timestamp, embed_text(t, backend)) for row, t in zip(rows, texts)]
+                parts[i, b] = aggregate_entity(name, entity, embedded, normalize)
+    prefixes = ["text"] if single else [name for name, _, _ in sources]
+    names = [f"{prefix}.e{i}" for prefix in prefixes for i in range(backend.dim)]
+    values = parts.mean(axis=1) if single else parts.reshape(len(universe), -1)
 
     return FeatureMatrix(
         entity_ids=universe,
@@ -265,8 +256,9 @@ def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
             sources, entity_ids, labels, point, backend, config.temporal.normalize
         )
 
-    with stage("ablate", items=len(grid_points(extended))):
-        report = run_ablation(builder, config.evaluation, extended)
+    points = grid_points(config.serialization, extended)
+    with stage("ablate", items=len(points)):
+        report = run_ablation(builder, config.evaluation, points)
 
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)

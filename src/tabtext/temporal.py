@@ -64,26 +64,18 @@ def aggregate_timed(
 
 
 def aggregate_entity(
-    per_source: Sequence[tuple[str, Sequence[tuple[Optional[float], np.ndarray]]]],
+    source: str, entity_id: str, rows: Sequence[tuple[Optional[float], np.ndarray]],
     normalize: bool = True,
-    entity_id: str = "",
-) -> list[np.ndarray]:
-    """Reduce one entity's rows to one vector per source, in source order.
-
-    A source's rows are one row without a timestamp, which passes through, or
-    timestamped rows, reduced with :func:`aggregate_timed`, as ``group_rows``
-    and ``read_embeddings`` check.
-    """
-    parts: list[np.ndarray] = []
-    for source, rows in per_source:
-        if rows[0][0] is None:
-            parts.append(np.asarray(rows[0][1], dtype=np.float64))
-            continue
-        try:
-            parts.append(aggregate_timed(rows, normalize=normalize))
-        except FloatingPointError as exc:
-            raise ValidationError(
-                f"source '{source}': the timestamp-weighted sum of entity "
-                f"'{entity_id}' overflows ({exc})"
-            ) from None
-    return parts
+) -> np.ndarray:
+    """Reduce one entity's rows in one source to one vector: one row without
+    a timestamp passes through, and timestamped rows are reduced with
+    :func:`aggregate_timed`, as ``group_rows`` and ``read_embeddings`` check."""
+    if rows[0][0] is None:
+        return np.asarray(rows[0][1], dtype=np.float64)
+    try:
+        return aggregate_timed(rows, normalize=normalize)
+    except FloatingPointError as exc:
+        raise ValidationError(
+            f"source '{source}': the timestamp-weighted sum of entity "
+            f"'{entity_id}' overflows ({exc})"
+        ) from None

@@ -14,7 +14,7 @@ from golden_fixture import GOLDEN_SCHEMA, golden_configs, golden_rows
 from tabtext.baseline import SERIES_STATS, build_baseline_features, encode_categorical, summarize_series
 from tabtext.data_model import CellValue, group_rows, load_schema, parse_table
 from tabtext.embedding import HashingBackend, chunk_text, embed_text
-from tabtext.evaluation import SplitSpec, auroc, evaluate_features, run_ablation
+from tabtext.evaluation import SplitSpec, auroc, evaluate_features, grid_points, run_ablation
 from tabtext.pipeline import (
     RunConfig,
     SourceConfig,
@@ -276,7 +276,7 @@ def test_criterion_9_ablation_grid_shape(tmp_path):
         def builder(config):
             return build_tabtext_features(sources, ids, labels, config, backend)
 
-        report = run_ablation(builder, SplitSpec(seed=0))
+        report = run_ablation(builder, SplitSpec(seed=0), grid_points(SerializationConfig()))
         assert len(report.rows) == 16
         assert len({r.split_hash for r in report.rows}) == 1
         rendered = report.render()

@@ -174,6 +174,9 @@ STAGE_CASES = [
                  id="timestamp-not-a-number"),
     pytest.param("sentences.csv", append("p2,inf,sentence"),
                  "<file> line <last>: 'inf' is not finite", None, id="timestamp-not-finite"),
+    pytest.param("sentences.csv", append("p1,-1.0,sentence"),
+                 "<file> line <last>: negative timestamp '-1.0' of entity 'p1'", None,
+                 id="timestamp-negative"),
     pytest.param("sentences.csv", lambda t: t.replace("sentence\n", "sentence,extra\n", 1),
                  "<file> line 1: expected the header entity_id,timestamp,sentence", None,
                  id="sentence-header-of-4-fields"),

@@ -138,6 +138,15 @@ def test_ablate_reports_sixteen_rows(corpus, tmp_path):
     assert len(report["rows"]) == 16
 
 
+def test_ablate_keeps_the_configs_source_combination(corpus, tmp_path):
+    config = write_config(corpus, tmp_path / "out",
+                          serialization={"combine_sources": "single_paragraph"})
+    assert main(["ablate", "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "ablation_report.json").read_text())
+    assert len(report["rows"]) == 16
+    assert {row["combine_sources"] for row in report["rows"]} == {"single_paragraph"}
+
+
 def test_missing_schema_path_is_validation_error(corpus, tmp_path):
     config = write_config(
         corpus,
@@ -738,7 +747,8 @@ def test_embed_dim_above_the_ceiling_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("dim", 65537), ("max_chars", 0)])
+@pytest.mark.parametrize("key, value",
+                         [("dim", 65537), ("max_chars", 0), ("url", "file:///dev/null")])
 def test_flag_and_config_key_print_the_same_rule(corpus, tmp_path, key, value, capsys):
     """One rule per setting: the embed flag and the config key of a setting
     fail with the same line."""

@@ -389,19 +389,19 @@ class TestActiveColumnFit:
 
 class TestGridPoints:
     def test_sixteen_points(self):
-        points = grid_points()
+        points = grid_points(SerializationConfig())
         assert len(points) == 16
         assert len(set(points)) == 16
         assert all(p.combine_sources is CombineMode.SEPARATE for p in points)
 
     def test_extended_doubles(self):
-        assert len(grid_points(extended=True)) == 32
+        assert len(grid_points(SerializationConfig(), extended=True)) == 32
 
     def test_matches_golden_order(self):
-        assert grid_points() == [config for _, config in golden_configs()]
+        assert grid_points(SerializationConfig()) == [config for _, config in golden_configs()]
 
     def test_every_point_round_trips_through_a_dict(self):
-        for config in grid_points(extended=True):
+        for config in grid_points(SerializationConfig(), extended=True):
             assert from_dict(SerializationConfig, to_dict(config), "serialization") == config
 
 
@@ -427,17 +427,17 @@ def synthetic_builder(seed=0, n=120, dim=32):
 
 class TestRunAblation:
     def test_report_shape_and_ordering(self):
-        report = run_ablation(synthetic_builder(), SplitSpec(seed=0))
+        report = run_ablation(synthetic_builder(), SplitSpec(seed=0), grid_points(SerializationConfig()))
         assert len(report.rows) == 16
         scores = [r.test_auroc for r in report.rows]
         assert scores == sorted(scores, reverse=True)
 
     def test_shared_split_hash(self):
-        report = run_ablation(synthetic_builder(), SplitSpec(seed=0))
+        report = run_ablation(synthetic_builder(), SplitSpec(seed=0), grid_points(SerializationConfig()))
         assert len({r.split_hash for r in report.rows}) == 1
 
     def test_axis_means_recompute(self):
-        report = run_ablation(synthetic_builder(), SplitSpec(seed=0))
+        report = run_ablation(synthetic_builder(), SplitSpec(seed=0), grid_points(SerializationConfig()))
         means = report.axis_means()
         include_rows = [
             r.test_auroc for r in report.rows if r.config.include_meta
@@ -455,12 +455,13 @@ class TestRunAblation:
             assert means["missing_policy"][label] == pytest.approx(float(np.mean(rows)))
 
     def test_extended_grid(self):
-        report = run_ablation(synthetic_builder(), SplitSpec(seed=0), extended=True)
+        report = run_ablation(synthetic_builder(), SplitSpec(seed=0),
+                              grid_points(SerializationConfig(), extended=True))
         assert len(report.rows) == 32
         assert "combine_sources" in report.axis_means()
 
     def test_render_has_table_columns(self):
-        report = run_ablation(synthetic_builder(), SplitSpec(seed=0))
+        report = run_ablation(synthetic_builder(), SplitSpec(seed=0), grid_points(SerializationConfig()))
         text = report.render()
         for column in ("Missing Handling", "Meta Info", "Descriptiveness", "Test AUC"):
             assert column in text

@@ -49,6 +49,7 @@ from tabtext.evaluation import (
 )
 from tabtext.formats import _invalid, load_labels, read_csv, read_features, write_float_rows
 from tabtext.pipeline import build_tabtext_features
+from tabtext.serializer import SerializationConfig
 from tabtext.synthetic import CorpusSpec, generate
 from tabtext.temporal import aggregate_timed
 
@@ -511,7 +512,7 @@ def test_float32_fit_gives_the_auroc_of_a_float64_fit_at_every_grid_point(tmp_pa
         rows = parse_table(tmp_path / f"{name}.csv", schema)
         sources.append((name, schema, group_rows(name, schema, rows, ids)))
     backend = HashingBackend()
-    for config in grid_points():
+    for config in grid_points(SerializationConfig()):
         features = build_tabtext_features(sources, ids, labels, config, backend)
         values, y = features.values, features.labels
         train, test = split(len(ids), SplitSpec(seed=0), y)

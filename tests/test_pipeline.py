@@ -113,10 +113,18 @@ class TestCombineModes:
     def test_single_paragraph_joins_static_texts_with_one_space(self, demo, vitals, labs):
         backend = RecordingBackend()
         build([demo, vitals, labs], SINGLE, backend)
-        # per entity: the series rows first, then one paragraph of static texts
+        # block order: every entity's paragraph of static texts, then the series rows
         assert backend.texts == [
-            "hr is 80.", "hr is 90.", "age is 50. ldl is 3.",
-            "hr is 70.", "age is 60. ldl is 4.",
+            "age is 50. ldl is 3.", "age is 60. ldl is 4.",
+            "hr is 80.", "hr is 90.", "hr is 70.",
+        ]
+
+    def test_separate_embeds_each_source_as_one_run_of_texts(self, demo, vitals, labs):
+        backend = RecordingBackend()
+        build([demo, vitals, labs], SEPARATE, backend)
+        assert backend.texts == [
+            "age is 50.", "age is 60.", "hr is 80.", "hr is 90.", "hr is 70.",
+            "ldl is 3.", "ldl is 4.",
         ]
 
     def test_single_paragraph_keeps_backend_dimension(self, demo, vitals, labs):

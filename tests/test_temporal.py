@@ -140,16 +140,14 @@ class TestInvariants:
 class TestAggregateEntity:
     def test_static_passthrough(self):
         vec = np.array([1.0, 2.0])
-        (out,) = aggregate_entity([("demo", [(None, vec)])])
+        out = aggregate_entity("demo", "p1", [(None, vec)])
         np.testing.assert_array_equal(out, vec)
 
-    def test_static_and_series_give_one_vector_each_in_source_order(self):
-        static = np.ones(3)
+    def test_series_is_reduced_with_timestamp_weights(self):
         timed = [(1.0, np.zeros(3)), (2.0, np.full(3, 3.0))]
-        out = aggregate_entity([("demo", [(None, static)]), ("vitals", timed)])
-        assert len(out) == 2
-        np.testing.assert_array_equal(out[0], static)
-        np.testing.assert_allclose(out[1], np.full(3, 2.0))
+        out = aggregate_entity("vitals", "p1", timed)
+        assert out.tobytes() == aggregate_timed(timed).tobytes()
+        np.testing.assert_allclose(out, np.full(3, 2.0))
 
     def test_overflowing_weights_are_validation_error_naming_source_and_entity(self):
         timed = [(1e308, np.ones(2)), (1e308, np.ones(2))]
@@ -158,4 +156,4 @@ class TestAggregateEntity:
             "(overflow encountered in reduce)"
         )
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            aggregate_entity([("demo", [(None, np.ones(2))]), ("vitals", timed)], entity_id="p1")
+            aggregate_entity("vitals", "p1", timed)
