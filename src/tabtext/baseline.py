@@ -173,11 +173,7 @@ def build_baseline_features(
                 columns.extend(matrix.T)
             # free_text and timestamp columns are dropped by the baseline
 
-    values = (
-        np.column_stack(columns)
-        if columns
-        else np.zeros((len(universe), 0), dtype=np.float64)
-    )
+    values = np.column_stack(columns) if columns else np.zeros((len(universe), 0))
     return FeatureMatrix(
         entity_ids=universe,
         feature_names=names,

@@ -236,12 +236,9 @@ def parse_table(path: PathLike, schema: TableSchema) -> list[Row]:
             tcell = memo[record[at[schema.time_column]]]
             timestamp = tcell.parsed
             if timestamp is None or timestamp < 0:
-                raise _invalid(
-                    path,
-                    line,
-                    f"{'unparseable' if timestamp is None else 'negative'} timestamp "
-                    f"{tcell.raw!r} in column '{schema.time_column}'",
-                )
+                problem = "unparseable" if timestamp is None else "negative"
+                raise _invalid(path, line, f"{problem} timestamp {tcell.raw!r} in column "
+                                           f"'{schema.time_column}'")
         rows.append(Row(entity_id, tuple([memo[record[i]] for i in positions]), timestamp))
     return rows
 

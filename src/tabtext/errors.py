@@ -20,7 +20,10 @@ class ValidationError(TabTextError):
 
 
 class BackendError(TabTextError):
-    """An embedding backend failed (service unreachable, bad reply, cache unusable)."""
+    """An embedding backend failed (service unreachable, bad reply, cache
+    unusable). Raised inside a stage, its message is led by that stage's name."""
+
+    stage: Optional[str] = None
 
 
 class StageError(TabTextError):
@@ -29,11 +32,16 @@ class StageError(TabTextError):
 
 @contextmanager
 def stage(name: str, items: Optional[int] = None):
-    """Log one line per stage with wall time. A TabTextError passes through;
-    any other exception becomes the StageError of ``name``."""
+    """Log one line per stage with wall time. A TabTextError passes through,
+    a BackendError led by the name of the innermost stage it crossed; any
+    other exception becomes the StageError of ``name``."""
     start = time.perf_counter()
     try:
         yield
+    except BackendError as exc:
+        if exc.stage is None:
+            exc.stage, exc.args = name, (f"stage '{name}': {exc}",)
+        raise
     except TabTextError:
         raise
     except Exception as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,63 @@ class SplitSpec:
             raise ValidationError("repeats must be >= 1")
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(mult: int, step: int) -> Callable[[int], int]:
+    """SeedSequence's hash of a 32-bit word; its multiplier moves on by ``step`` at each call."""
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value, mult = value ^ mult, mult * step & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+class _PCG64:
+    """``np.random.default_rng(seed)``'s stream, without ``numpy.random`` (about
+    2 MB a run). The seed is hashed into the 128-bit state and increment as
+    ``SeedSequence(seed).generate_state(4, np.uint64)`` hashes it; each XSL-RR
+    output of the LCG is two 32-bit draws, low half first, as numpy's
+    ``next_uint32`` serves it. :meth:`permutation` is ``Generator.permutation``'s
+    Fisher-Yates shuffle with masked rejection; its 32-bit draws reproduce numpy
+    for every n up to 2**32, which covers any split this program can make."""
+
+    def __init__(self, seed: int):
+        words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(max(4, len(words))):  # the pool's words, then the seed's past 4
+            for dst in (d for d in range(4) if d != src):
+                word = hashmix(pool[src] if src < 4 else words[src])
+                value = 0xCA01F9DD * pool[dst] - 0x4973F715 * word & _M32
+                pool[dst] = value ^ value >> 16
+        hashout = _hashmix(0x8B51F9DD, 0x58F38DED)  # generate_state's eight words
+        seeded = sum(hashout(pool[i % 4]) << 32 * (i ^ 6) for i in range(8))
+        inc = ((seeded & _M128) << 1 | 1) & _M128  # from the low 128 bits, the sequence
+        # Seeding steps the LCG from 0, adds the high 128 bits, the state, and steps again.
+        self._draws = self._outputs(((inc + (seeded >> 128)) * _PCG_MULT + inc) & _M128, inc)
+
+    @staticmethod
+    def _outputs(state: int, inc: int) -> Iterator[int]:
+        while True:
+            state = (state * _PCG_MULT + inc) & _M128
+            rot, x = state >> 122, (state >> 64 ^ state) & _M64
+            value = (x >> rot | x << (64 - rot)) & _M64
+            yield value & _M32
+            yield value >> 32
+
+    def permutation(self, n: int) -> np.ndarray:
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while (j := next(self._draws) & mask) > i:
+                pass
+            perm[i], perm[j] = perm[j], perm[i]
+        return np.array(perm, dtype=np.intp)
+
+
 def split(
     n: int, spec: SplitSpec, labels: Optional[Sequence[int]] = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -41,11 +98,12 @@ def split(
 
     Train size is round(train_fraction * N). Stratified mode preserves the
     class ratio within one entity per class (largest-remainder allocation).
+    One :class:`_PCG64` of ``spec.seed`` permutes the rows, class by class.
     """
     if n < 2:
         raise ValidationError("need at least 2 entities to split")
     n_train = int(round(spec.train_fraction * n))
-    rng = np.random.default_rng(spec.seed)
+    rng = _PCG64(spec.seed)
     in_train = np.zeros(n, dtype=bool)
     if spec.stratified:
         if labels is None:
@@ -56,12 +114,9 @@ def split(
             raise ValidationError("stratified split requires both classes present")
         targets = {c: spec.train_fraction * np.sum(labels == c) for c in classes}
         take = {c: int(np.floor(targets[c])) for c in classes}
-        leftover = n_train - sum(take.values())
-        for c in sorted(classes, key=lambda c: -(targets[c] - np.floor(targets[c]))):
-            if leftover <= 0:
-                break
+        by_remainder = sorted(classes, key=lambda c: -(targets[c] - np.floor(targets[c])))
+        for c in by_remainder[: n_train - sum(take.values())]:  # never below 0
             take[c] += 1
-            leftover -= 1
         for c in classes:
             members = np.flatnonzero(labels == c)
             perm = rng.permutation(len(members))

@@ -20,13 +20,7 @@ from .data_model import Row, TableSchema, from_dict, group_rows, load_schema, pa
 from .data_model import read_section, to_dict
 from .embedding import EmbeddingBackend, EmbeddingConfig, embed_text, make_backend
 from .errors import ValidationError, stage
-from .evaluation import (
-    AblationReport,
-    SplitSpec,
-    evaluate_features,
-    grid_points,
-    run_ablation,
-)
+from .evaluation import AblationReport, SplitSpec, evaluate_features, grid_points, run_ablation
 from .formats import load_labels, read_yaml
 from .serializer import CombineMode, SerializationConfig, serialize_row
 from .temporal import TemporalConfig, aggregate_entity
@@ -158,21 +152,28 @@ def build_tabtext_features(
     single = ser_config.combine_sources is CombineMode.SINGLE_PARAGRAPH
     statics = [s for s in sources if single and s[1].time_column is None]
     blocks = [s for s in sources if not (single and s[1].time_column is None)]
-    parts = np.zeros((len(universe), bool(statics) + len(blocks), backend.dim))
+    dim = backend.dim
+    values = np.zeros((len(universe), dim if single else len(blocks) * dim))
     for i, entity in enumerate(universe):
         texts = [serialize_row(schema, row, ser_config)
                  for _, schema, per_entity in statics for row in per_entity.get(entity, ())]
         if texts:
-            parts[i, 0] = embed_text(" ".join(texts), backend)
+            values[i] = embed_text(" ".join(texts), backend)
     for b, (name, schema, per_entity) in enumerate(blocks, start=bool(statics)):
         for i, entity in enumerate(universe):
+            vector = 0.0  # the zero block, which single-paragraph mode still sums
             if rows := per_entity.get(entity):
                 texts = [serialize_row(schema, row, ser_config) for row in rows]
                 embedded = [(row.timestamp, embed_text(t, backend)) for row, t in zip(rows, texts)]
-                parts[i, b] = aggregate_entity(name, entity, embedded, normalize)
+                vector = aggregate_entity(name, entity, embedded, normalize)
+            if single and b:
+                values[i] += vector
+            else:
+                values[i, b * dim : (b + 1) * dim] = vector
+    if single:
+        values /= bool(statics) + len(blocks)  # the mean of the blocks, summed in block order
     prefixes = ["text"] if single else [name for name, _, _ in sources]
-    names = [f"{prefix}.e{i}" for prefix in prefixes for i in range(backend.dim)]
-    values = parts.mean(axis=1) if single else parts.reshape(len(universe), -1)
+    names = [f"{prefix}.e{i}" for prefix in prefixes for i in range(dim)]
 
     return FeatureMatrix(
         entity_ids=universe,
@@ -231,14 +232,8 @@ def run_compare(config: RunConfig) -> dict:
         "config_hash": config.config_hash(),
         "backend_id": backend.backend_id,
         "split_hash": shash,
-        "outputs": {
-            path.name: _digest(path)
-            for path in (tabtext_path, base_path, report_path)
-        },
-        "results": {
-            "tabtext_auroc": tab_mean,
-            "baseline_auroc": base_mean,
-        },
+        "outputs": {path.name: _digest(path) for path in (tabtext_path, base_path, report_path)},
+        "results": {"tabtext_auroc": tab_mean, "baseline_auroc": base_mean},
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -264,7 +259,5 @@ def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
     out.mkdir(parents=True, exist_ok=True)
     (out / "ablation_report.txt").write_text(report.render(), encoding="utf-8")
     (out / "ablation_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return report

@@ -59,11 +59,8 @@ def serialize_row(schema: TableSchema, row: Row, config: SerializationConfig) ->
     Entity and time columns are never serialized. With meta on, the table
     title (and description, when present) prefix the sentence.
     """
-    fragments = []
-    for col, cell in zip(schema.value_columns, row.cells):
-        fragment = serialize_cell(col, cell, config)
-        if fragment is not None:
-            fragments.append(fragment)
+    fragments = [fragment for col, cell in zip(schema.value_columns, row.cells)
+                 if (fragment := serialize_cell(col, cell, config)) is not None]
     body = "; ".join(fragments) + "." if fragments else ""
 
     prefix = ""

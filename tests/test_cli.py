@@ -156,6 +156,12 @@ def test_missing_schema_path_is_validation_error(corpus, tmp_path):
     assert main(["compare", "--config", str(config)]) == 1
 
 
+FIRST_GRID_POINT = (
+    "{'missing_policy': 'exclude', 'include_meta': True, 'descriptive': True, "
+    "'combine_sources': 'separate'}"
+)
+
+
 @pytest.mark.parametrize("command", ["compare", "ablate"])
 def test_unreachable_remote_backend_exit_code(corpus, tmp_path, command, capsys):
     config = write_config(
@@ -164,14 +170,12 @@ def test_unreachable_remote_backend_exit_code(corpus, tmp_path, command, capsys)
         embedding={"backend": "remote", "dim": 8, "url": "http://127.0.0.1:9/embed"},
     )
     assert main([command, "--config", str(config)]) == 3
-    assert capsys.readouterr().err.splitlines()[-1].startswith("backend error: ")
+    name = {"compare": "features", "ablate": f"ablate {FIRST_GRID_POINT}"}[command]
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"backend error: stage '{name}': embedding service unreachable: ")
     assert not (tmp_path / "out").exists()
 
 
-FIRST_GRID_POINT = (
-    "{'missing_policy': 'exclude', 'include_meta': True, 'descriptive': True, "
-    "'combine_sources': 'separate'}"
-)
 # A function each command runs inside a stage, and the name of that stage.
 STAGE_FAULTS = {
     "compare": ("tabtext.pipeline.build_tabtext_features", "features"),
@@ -834,12 +838,14 @@ def test_each_table_is_grouped_once_per_run(corpus40, tmp_path, monkeypatch, com
     assert grouped == ["demographics", "vitals"]
 
 
+@pytest.mark.parametrize("module", ["numpy.ma", "numpy.random"])
 @pytest.mark.parametrize("command", ["compare", "ablate"])
-def test_a_run_loads_no_masked_arrays(corpus40, tmp_path, command):
-    # numpy.ma costs a run about 1 MB; np.unique imports it unless told to return indices.
+def test_a_run_loads_no_unused_numpy_module(corpus40, tmp_path, command, module):
+    # numpy.ma costs a run about 1 MB, and np.unique imports it unless told to
+    # return indices; numpy.random costs about 2 MB, and the split does not use it.
     config = write_config(corpus40, tmp_path / "out")
     code = (f"import sys, tabtext.cli; assert tabtext.cli.main([{command!r}, '--config', "
-            f"{str(config)!r}]) == 0; print('numpy.ma' in sys.modules)")
+            f"{str(config)!r}]) == 0; print({module!r} in sys.modules)")
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=SRC_ENV
     )

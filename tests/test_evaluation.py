@@ -11,6 +11,7 @@ from tabtext.evaluation import (
     GD_L2,
     GD_LR,
     SplitSpec,
+    _PCG64,
     _logistic_gd,
     auroc,
     average_ranks,
@@ -104,6 +105,16 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(ValidationError):
             SplitSpec(train_fraction=1.0)
+
+
+@pytest.mark.parametrize("seed", [*range(21), 2**32 - 1, 2**32, 2**64 + 3])
+def test_permutation_draws_numpys_stream(seed):
+    # Each size is drawn after the ones before it, from one generator.
+    ours, numpys = _PCG64(seed), np.random.default_rng(seed)
+    for n in (0, 1, 2, 3, 40, 400, 1600, 2000):
+        perm = ours.permutation(n)
+        assert perm.dtype == np.intp
+        assert perm.tolist() == numpys.permutation(n).tolist()
 
 
 def brute_force_ranks(values):

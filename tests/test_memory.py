@@ -17,7 +17,7 @@ from tabtext.embedding import HashingBackend
 from tabtext.evaluation import SplitSpec, evaluate_features
 from tabtext.formats import load_labels, read_features
 from tabtext.pipeline import RunConfig, SourceConfig, build_tabtext_features, run_compare
-from tabtext.serializer import SerializationConfig
+from tabtext.serializer import CombineMode, SerializationConfig
 from tabtext.synthetic import CorpusSpec, generate
 
 
@@ -49,9 +49,9 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def build(inputs, backend):
+def build(inputs, backend, ser_config=SerializationConfig()):
     sources, ids, labels = inputs
-    return build_tabtext_features(sources, ids, labels, SerializationConfig(), backend)
+    return build_tabtext_features(sources, ids, labels, ser_config, backend)
 
 
 def test_building_features_holds_one_matrix(inputs):
@@ -62,9 +62,19 @@ def test_building_features_holds_one_matrix(inputs):
     assert peak <= 1.25 * features.values.nbytes
 
 
+def test_single_paragraph_build_holds_one_matrix(inputs):
+    # Its blocks are summed into the matrix in place, not held side by side.
+    backend = HashingBackend()
+    single = SerializationConfig(combine_sources=CombineMode.SINGLE_PARAGRAPH)
+    build(inputs, backend, single)
+    features, peak = traced_peak(lambda: build(inputs, backend, single))
+    assert features.values.shape == (400, backend.dim)
+    assert peak <= 1.25 * features.values.nbytes
+
+
 def test_evaluating_features_copies_no_full_width_matrix(inputs):
     features = build(inputs, HashingBackend())
-    evaluate_features(features, SplitSpec(seed=0))  # leaves out numpy.random's one-off set-up
+    evaluate_features(features, SplitSpec(seed=0))  # leaves out any first-call set-up
     _, peak = traced_peak(lambda: evaluate_features(features, SplitSpec(seed=0)))
     assert peak <= 0.32 * features.values.nbytes
 
