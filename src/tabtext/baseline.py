@@ -4,6 +4,10 @@ Numeric columns pass through with zero imputation, categorical/binary columns
 are one-hot encoded with frequency capping, and time-series numeric columns
 expand into six summary statistics per column. Free-text columns are dropped
 here on purpose; keeping them is exactly what the text pipeline adds.
+
+Both pipelines' output is a :class:`FeatureMatrix`, whose values are a dense
+array or, for a matrix that is mostly zeros, :class:`SparseRows`, the layout
+:func:`assemble_rows` picks for the TabText matrix as it is built.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +24,12 @@ from .errors import ValidationError
 from .formats import read_features, write_features
 
 SERIES_STATS = ("mean", "min", "max", "variance", "average_change", "count")
+# Rows that assemble_rows fills at a time: an eighth of the matrix, kept
+# within these bounds.
+BUILD_ROWS = (32, 256)
+# A matrix whose dense array is smaller is held dense: a read of SparseRows
+# costs some twenty numpy calls, and its zeros would cost little.
+SPARSE_MIN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,17 +43,122 @@ class BaselineConfig:
             raise ValidationError("max_categories must be >= 1")
 
 
+class SparseRows:
+    """A float64 matrix of ``shape`` held as its non-zero and -0.0 cells, in
+    row order with columns ascending: ``keys[k]`` is the flat position
+    ``row * width + column`` of the cell that holds ``cells[k]``, so
+    ``keys`` ascends.
+
+    It is read as a numpy array is read, by a key of rows, or of rows and
+    columns: each an int, a slice or an array of indices, columns ascending
+    (``np.ix_`` of the two too). Each read is a new C-ordered dense array
+    of the cells it selects, with the shape numpy gives the key (an outer
+    product for two 1-D arrays, as ``np.ix_`` gives), so a read makes the
+    whole matrix dense only when its key selects the whole."""
+
+    def __init__(self, shape: tuple[int, int], keys: np.ndarray, cells: np.ndarray):
+        self.shape, self.keys, self.cells = shape, keys, cells
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        rows, cols = np.arange(self.shape[0])[rows], np.arange(self.shape[1])[cols]
+        shape = rows.shape[:1] + cols.shape[-1:]
+        rows, cols = rows.reshape(-1), cols.reshape(-1)
+        out = np.zeros(len(rows) * len(cols))
+        if out.size:
+            # Each row's cells in the columns cols[0]..cols[-1] are one run of keys.
+            span = cols[-1] + 1 - cols[0]
+            first = rows * self.shape[1] + cols[0]
+            lo = np.searchsorted(self.keys, first)
+            counts = np.searchsorted(self.keys, first + span) - lo
+            at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            column = self.keys[at] - np.repeat(first, counts)
+            row = np.repeat(np.arange(len(rows)) * len(cols), counts)
+            if len(cols) < span:  # not every column of the run is read
+                index = np.full(span, -1)
+                index[cols - cols[0]] = np.arange(len(cols))
+                column = index[column]
+                read = column >= 0
+                at, row, column = at[read], row[read], column[read]
+            out[row + column] = self.cells[at]
+        return out.reshape(shape)
+
+
+Matrix = Union[np.ndarray, SparseRows]
+
+
+def as_rows(values) -> Matrix:
+    """``values`` as a float64 matrix: a :class:`SparseRows` as it is, and
+    anything else through ``np.asarray``."""
+    return values if isinstance(values, SparseRows) else np.asarray(values, dtype=np.float64)
+
+
+def assemble_rows(
+    n: int, width: int, fill: Callable[[int, np.ndarray], None]
+) -> Matrix:
+    """The ``(n, width)`` float64 matrix that ``fill(start, block)`` writes
+    into zeroed rows ``block``, rows ``start`` on; ``fill`` keeps no view
+    of ``block``.
+
+    A matrix of fewer than ``SPARSE_MIN_BYTES`` dense is one zero array,
+    filled in one call. Any other is filled one block of an eighth of its
+    rows (within ``BUILD_ROWS``) at a time in one buffer, and the non-zero
+    and -0.0 cells of each block are kept as SparseRows. When more than a
+    quarter of the cells so far are kept, so that they would take half the
+    bytes of a dense copy, the buffer is grown in place into the dense
+    matrix: the block moves to its rows, the cells kept so far are written
+    back, and the rows left are filled in place. So dense rows cost what a
+    dense array costs, and the cells kept before them.
+    """
+    if 8 * n * width < SPARSE_MIN_BYTES:
+        values = np.zeros((n, width))
+        fill(0, values)
+        return values
+    step = min(max(-(-n // 8), BUILD_ROWS[0]), BUILD_ROWS[1])
+    buffer = np.zeros((min(step, n), width))
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    kept = 0
+    for start in range(0, n, step):
+        count = min(step, n - start)
+        fill(start, buffer[:count])
+        # The int64 view is not 0 exactly where a cell is non-zero or -0.0.
+        at = np.flatnonzero(buffer[:count].view(np.int64))
+        kept += len(at)
+        if 4 * kept > (start + count) * width:
+            del at
+            # No view of the buffer is left, so resize may realloc it; it zeroes the new rows.
+            buffer.resize((n, width), refcheck=False)
+            if start:  # move the block to its rows, which lie past it, and zero its old rows
+                buffer[start : start + count] = buffer[:count]
+                buffer[:count] = 0.0
+            for keys, cells in parts:
+                buffer.reshape(-1)[keys] = cells
+            del parts
+            fill(start + count, buffer[start + count :])
+            return buffer
+        parts.append((at + start * width, buffer.reshape(-1)[at]))
+        buffer.reshape(-1)[at] = 0.0  # every other cell is 0.0 already
+    buffer = at = None
+    keys = np.concatenate([keys for keys, _ in parts] or [np.zeros(0, np.intp)])
+    cells = np.concatenate([cells for _, cells in parts] or [np.zeros(0)])
+    return SparseRows((n, width), keys, cells)
+
+
 @dataclass
 class FeatureMatrix:
-    """Dense per-entity feature rows with optional binary labels."""
+    """Per-entity feature rows, a dense array or :class:`SparseRows`, with
+    optional binary labels."""
 
     entity_ids: list[str]
     feature_names: list[str]
-    values: np.ndarray
+    values: Matrix
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = as_rows(self.values)
         if self.values.shape != (len(self.entity_ids), len(self.feature_names)):
             raise ValueError(
                 f"matrix shape {self.values.shape} does not match "
@@ -51,9 +166,8 @@ class FeatureMatrix:
             )
         # min() and max() are nan if any cell is nan, so both are finite
         # exactly when every cell is, and neither makes a full-size temporary.
-        if self.values.size and not (
-            np.isfinite(self.values.min()) and np.isfinite(self.values.max())
-        ):
+        held = self.values.cells if isinstance(self.values, SparseRows) else self.values
+        if held.size and not (np.isfinite(held.min()) and np.isfinite(held.max())):
             raise ValueError("feature matrix contains non-finite values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)

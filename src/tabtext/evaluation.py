@@ -8,7 +8,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .baseline import FeatureMatrix
+from .baseline import FeatureMatrix, Matrix, as_rows
 from .data_model import to_dict
 from .errors import ValidationError, stage
 from .serializer import CombineMode, MissingPolicy, SerializationConfig
@@ -225,14 +225,14 @@ class LinearClassifier:
     feature_mean: np.ndarray
     feature_scale: np.ndarray  # 0 for ignored (zero-variance) features
 
-    def scores(self, X: np.ndarray, rows: Optional[Sequence[int]] = None) -> np.ndarray:
+    def scores(self, X: Matrix, rows: Optional[Sequence[int]] = None) -> np.ndarray:
         """The scores of the rows ``rows`` of ``X`` (None for every row)."""
         active, Xs = _standardize_active(X, rows, self.feature_mean, self.feature_scale)
         return Xs @ self.weights[active] + self.bias
 
 
 def _standardize_active(
-    X: np.ndarray, rows: Optional[Sequence[int]], mean: np.ndarray, scale: np.ndarray
+    X: Matrix, rows: Optional[Sequence[int]], mean: np.ndarray, scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the columns with ``scale > 0`` and a standardized copy of
     those columns of the rows ``rows`` alone; no other cell is read. Each
@@ -241,7 +241,7 @@ def _standardize_active(
     The low bits of the GD products depend on the layout. A value that
     overflows float64 or float32 on the way raises :class:`_ColumnOverflow`."""
     active = np.flatnonzero(scale > 0)
-    X = np.asarray(X, dtype=np.float64)
+    X = as_rows(X)
     Xs = np.empty((len(X) if rows is None else len(rows), len(active)), np.float32, order="F")
     for start in range(0, len(active), MOMENT_BLOCK):
         cols = active[start : start + MOMENT_BLOCK]
@@ -259,7 +259,7 @@ def _standardize_active(
 
 
 def _column_moments(
-    X: np.ndarray, rows: Optional[Sequence[int]]
+    X: Matrix, rows: Optional[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``X[rows].mean(axis=0)`` and ``X[rows].std(axis=0)`` to the bit, one
     block of columns at a time. An axis-0 reduction sums each column row by
@@ -282,11 +282,12 @@ def _column_moments(
 
 
 def fit_linear_classifier(
-    X: np.ndarray, y: np.ndarray, rows: Optional[Sequence[int]] = None
+    X: Matrix, y: np.ndarray, rows: Optional[Sequence[int]] = None
 ) -> LinearClassifier:
     """Fit the built-in classifier on the training rows ``rows`` of ``X``
     (None for every row) and their 0/1 labels ``y``: zero init, then
-    ``GD_STEPS`` fixed steps. ``X`` is read in place and never copied whole.
+    ``GD_STEPS`` fixed steps. ``X``, a dense array or SparseRows, is read
+    in place and never copied whole.
 
     Features are standardized internally by train-set mean/std; gradient
     descent runs in float32 on the columns that vary, and a zero-variance
@@ -295,7 +296,7 @@ def fit_linear_classifier(
     y = np.asarray(y, dtype=np.float64)
     if len(set(y.tolist())) < 2:
         raise ValidationError("cannot fit a classifier on a single class")
-    X = np.asarray(X, dtype=np.float64)
+    X = as_rows(X)
     mean, std = _column_moments(X, rows)
     scale = np.where(std > 0, std, 0.0)
     active, Xs = _standardize_active(X, rows, mean, scale)

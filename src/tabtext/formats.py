@@ -107,8 +107,9 @@ def _csv_field(text: str) -> str:
 
 
 def write_float_rows(handle: TextIO, leads: Sequence[Sequence[str]], values: np.ndarray) -> None:
-    """Write one CSV line per row of ``values``: the row's ``leads`` fields,
-    then its values in shortest round-trip form (``repr``).
+    """Write one CSV line per row of ``values``, a dense array or SparseRows,
+    read one block of rows at a time: the row's ``leads`` fields, then its
+    values in shortest round-trip form (``repr``).
 
     Only non-zero and -0.0 cells are formatted, a block of rows at a time and
     each distinct value of a block once; a run of k zero cells is written as
@@ -117,13 +118,15 @@ def write_float_rows(handle: TextIO, leads: Sequence[Sequence[str]], values: np.
     width = values.shape[1]
     for start in range(0, len(values), _BLOCK_ROWS):
         block = values[start : start + _BLOCK_ROWS]
-        rows, cols = np.nonzero((block != 0) | np.signbit(block))
+        rows, cols = np.nonzero(block.view(np.int64))  # the non-zero and -0.0 cells
         # np.unique holds -0.0 equal to 0.0, but -0.0 is the only zero among these cells.
         distinct, which = np.unique(block[rows, cols], return_inverse=True)
+        count = len(block)
+        del block  # a block of SparseRows is a dense copy: let it go before the lines are made
         texts = ["," + repr(v) for v in distinct.tolist()]
-        bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+        bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()
         cols, which = cols.tolist(), which.tolist()
-        for i, lead in enumerate(leads[start : start + len(block)]):
+        for i, lead in enumerate(leads[start : start + count]):
             parts = [",".join(map(_csv_field, lead))]
             done = 0
             for j in range(bounds[i], bounds[i + 1]):

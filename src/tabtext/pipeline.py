@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .baseline import BaselineConfig, FeatureMatrix, build_baseline_features
+from .baseline import BaselineConfig, FeatureMatrix, assemble_rows, build_baseline_features
 from .data_model import Row, TableSchema, from_dict, group_rows, load_schema, parse_table
 from .data_model import read_section, to_dict
 from .embedding import EmbeddingBackend, EmbeddingConfig, embed_text, make_backend
@@ -138,7 +138,9 @@ def build_tabtext_features(
     normalize: bool = True,
 ) -> FeatureMatrix:
     """Serialize, embed, and aggregate each source into one block of every
-    entity's row of the feature matrix, a source at a time.
+    entity's row of the feature matrix, a source at a time within each run
+    of entities that :func:`~tabtext.baseline.assemble_rows` asks for; it
+    holds the matrix as SparseRows while its cells are mostly zero.
 
     ``entity_ids`` is the entity universe, and each source comes with its
     rows by entity, as :func:`load_inputs` groups them; an entity without
@@ -153,25 +155,31 @@ def build_tabtext_features(
     statics = [s for s in sources if single and s[1].time_column is None]
     blocks = [s for s in sources if not (single and s[1].time_column is None)]
     dim = backend.dim
-    values = np.zeros((len(universe), dim if single else len(blocks) * dim))
-    for i, entity in enumerate(universe):
-        texts = [serialize_row(schema, row, ser_config)
-                 for _, schema, per_entity in statics for row in per_entity.get(entity, ())]
-        if texts:
-            values[i] = embed_text(" ".join(texts), backend)
-    for b, (name, schema, per_entity) in enumerate(blocks, start=bool(statics)):
-        for i, entity in enumerate(universe):
-            vector = 0.0  # the zero block, which single-paragraph mode still sums
-            if rows := per_entity.get(entity):
-                texts = [serialize_row(schema, row, ser_config) for row in rows]
-                embedded = [(row.timestamp, embed_text(t, backend)) for row, t in zip(rows, texts)]
-                vector = aggregate_entity(name, entity, embedded, normalize)
-            if single and b:
-                values[i] += vector
-            else:
-                values[i, b * dim : (b + 1) * dim] = vector
-    if single:
-        values /= bool(statics) + len(blocks)  # the mean of the blocks, summed in block order
+
+    def fill(start: int, values: np.ndarray) -> None:
+        """The rows of the entities from ``start`` on into the zeroed ``values``."""
+        entities = universe[start : start + len(values)]
+        for i, entity in enumerate(entities):
+            texts = [serialize_row(schema, row, ser_config)
+                     for _, schema, per_entity in statics for row in per_entity.get(entity, ())]
+            if texts:
+                values[i] = embed_text(" ".join(texts), backend)
+        for b, (name, schema, per_entity) in enumerate(blocks, start=bool(statics)):
+            for i, entity in enumerate(entities):
+                vector = 0.0  # the zero block, which single-paragraph mode still sums
+                if rows := per_entity.get(entity):
+                    texts = [serialize_row(schema, row, ser_config) for row in rows]
+                    embedded = [(row.timestamp, embed_text(t, backend))
+                                for row, t in zip(rows, texts)]
+                    vector = aggregate_entity(name, entity, embedded, normalize)
+                if single and b:
+                    values[i] += vector
+                else:
+                    values[i, b * dim : (b + 1) * dim] = vector
+        if single:
+            values /= bool(statics) + len(blocks)  # the mean of the blocks, summed in block order
+
+    values = assemble_rows(len(universe), dim if single else len(blocks) * dim, fill)
     prefixes = ["text"] if single else [name for name, _, _ in sources]
     names = [f"{prefix}.e{i}" for prefix in prefixes for i in range(dim)]
 
@@ -198,9 +206,9 @@ def run_compare(config: RunConfig) -> dict:
     Returns the manifest dict (also written to manifest.json).
     """
     sources, entity_ids, labels = load_inputs(config, "compare")
-    backend = make_backend(config.embedding)
 
     with stage("features", items=len(entity_ids)):
+        backend = make_backend(config.embedding)
         tabtext = build_tabtext_features(
             sources, entity_ids, labels, config.serialization, backend, config.temporal.normalize
         )
@@ -244,7 +252,6 @@ def run_compare(config: RunConfig) -> dict:
 def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
     """Run the ablation grid and write the report files."""
     sources, entity_ids, labels = load_inputs(config, "ablation")
-    backend = make_backend(config.embedding)
 
     def builder(point: SerializationConfig) -> FeatureMatrix:
         return build_tabtext_features(
@@ -253,6 +260,7 @@ def run_grid(config: RunConfig, extended: bool = False) -> AblationReport:
 
     points = grid_points(config.serialization, extended)
     with stage("ablate", items=len(points)):
+        backend = make_backend(config.embedding)
         report = run_ablation(builder, config.evaluation, points)
 
     out = config.output_dir

@@ -3,9 +3,13 @@ import io
 import numpy as np
 import pytest
 
+import tabtext.baseline
 from tabtext.baseline import (
+    BUILD_ROWS,
     FeatureMatrix,
     SERIES_STATS,
+    SparseRows,
+    assemble_rows,
     build_baseline_features,
     encode_categorical,
     summarize_series,
@@ -365,6 +369,82 @@ def random_matrix(rng, n, d, density, labelled):
     )
 
 
+def sparse_rows(values: np.ndarray) -> SparseRows:
+    """``values`` held as its non-zero and -0.0 cells."""
+    keys = np.flatnonzero((values != 0) | np.signbit(values))
+    return SparseRows(values.shape, keys, values.reshape(-1)[keys])
+
+
+def layouts(matrix: FeatureMatrix) -> list[FeatureMatrix]:
+    """``matrix`` as it is and with its values held as SparseRows."""
+    sparse = sparse_rows(matrix.values)
+    return [matrix, FeatureMatrix(matrix.entity_ids, matrix.feature_names, sparse, matrix.labels)]
+
+
+class TestSparseRows:
+    """SparseRows is read as the dense matrix of its cells is read."""
+
+    @pytest.fixture
+    def dense(self):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(40, 70))
+        values[rng.random(values.shape) >= 0.1] = 0.0
+        edges = rng.random(values.shape) < 0.05
+        values[edges] = rng.choice(EDGE_VALUES, size=int(edges.sum()))
+        values[7] = 0.0
+        return values
+
+    @pytest.mark.parametrize("key", [
+        slice(None), slice(3, 9), slice(38, 45), slice(5, 5), 0, -1, np.array([9, 2, 30, 2]),
+        (np.array([4, 0, 7, 39]), slice(10, 74)), (slice(None), np.array([1, 2, 40, 69])),
+        np.ix_(np.array([33, 7, 8]), np.array([0, 5, 6, 64])), (np.array([], np.intp), slice(2, 4)),
+        (np.array([1, 2]), slice(3, 3)), (3, slice(60, None)),
+    ], ids=repr)
+    def test_reads_equal_numpy(self, dense, key):
+        want = np.ascontiguousarray(dense[key])
+        got = sparse_rows(dense)[key]
+        assert got.shape == want.shape and got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_iterates_rows(self, dense):
+        sparse = sparse_rows(dense)
+        assert len(sparse) == 40 and np.asarray(sparse).tobytes() == dense.tobytes()
+
+    def test_feature_matrix_rejects_non_finite_cells(self, dense):
+        dense[3, 4] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureMatrix([f"e{i}" for i in range(40)], [f"f{j}" for j in range(70)],
+                          sparse_rows(dense))
+
+    @pytest.mark.parametrize("n", [0, 1, BUILD_ROWS[0], BUILD_ROWS[0] + 1, 8 * BUILD_ROWS[1] + 3])
+    @pytest.mark.parametrize("dense_from", [None, 0, 40, 600])
+    @pytest.mark.parametrize("min_bytes", [0, tabtext.baseline.SPARSE_MIN_BYTES])
+    def test_assembled_rows_are_the_rows_filled(self, dense, n, dense_from, min_bytes,
+                                                monkeypatch):
+        # Rows from ``dense_from`` on have no zero cell; the others are those
+        # of ``dense``, mostly zero. A matrix under min_bytes is held dense.
+        monkeypatch.setattr(tabtext.baseline, "SPARSE_MIN_BYTES", min_bytes)
+        want = np.tile(dense, (n // 40 + 1, 1))[:n]
+        if dense_from is not None:
+            want[dense_from:] += 1.0
+        blocks = []
+
+        def fill(start, block):
+            assert not block.any() and not np.signbit(block).any()
+            blocks.append(len(block))
+            block[:] = want[start : start + len(block)]
+
+        got = assemble_rows(n, 70, fill)
+        held_dense = dense_from is not None and dense_from < n or 8 * n * 70 < min_bytes
+        assert isinstance(got, np.ndarray if held_dense else SparseRows)
+        assert sum(blocks) == n
+        if 8 * n * 70 < min_bytes:
+            assert blocks == [n]
+        else:  # the rows left once they are found dense are filled in one call
+            assert max(blocks[: -1 if held_dense else None], default=0) <= BUILD_ROWS[1]
+        assert got[:].shape == (n, 70) and got[:].tobytes() == want.tobytes()
+
+
 class TestToCsvMatchesReference:
     @pytest.mark.parametrize("labelled", [True, False])
     @pytest.mark.parametrize("density", [0.0, 0.03, 0.5, 1.0])
@@ -384,12 +464,14 @@ class TestToCsvMatchesReference:
         rng = np.random.default_rng([n, d, int(density * 100), labelled])
         matrix = random_matrix(rng, n, d, density, labelled)
         path = tmp_path / "features.csv"
-        matrix.to_csv(path)
-        assert path.read_bytes() == reference_csv(matrix).encode("utf-8")
+        for held in layouts(matrix):
+            held.to_csv(path)
+            assert path.read_bytes() == reference_csv(matrix).encode("utf-8")
 
     def test_all_edge_values_in_one_row(self, tmp_path):
         matrix = FeatureMatrix(["e"], [f"f{j}" for j in range(len(EDGE_VALUES))], [EDGE_VALUES])
         path = tmp_path / "features.csv"
-        matrix.to_csv(path)
-        assert path.read_text() == reference_csv(matrix)
-        assert path.read_text().splitlines()[1].startswith("e,-0.0,5e-324,-1e-310,1e+300,")
+        for held in layouts(matrix):
+            held.to_csv(path)
+            assert path.read_text() == reference_csv(matrix)
+            assert path.read_text().splitlines()[1].startswith("e,-0.0,5e-324,-1e-310,1e+300,")

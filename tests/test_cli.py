@@ -1141,6 +1141,20 @@ def test_unusable_cache_is_backend_error_naming_the_file(tmp_path, case, capsys)
     assert err.startswith(f"backend error: embedding cache {cache / 'embeddings.sqlite3'}: ")
 
 
+@pytest.mark.parametrize("case", ["not-a-database", "a-file", "under-a-file"])
+@pytest.mark.parametrize("command, named", [("compare", "features"), ("ablate", "ablate")])
+def test_unusable_cache_names_the_stage_that_opens_it(corpus, tmp_path, command, named, case,
+                                                      capsys):
+    cache = unusable_cache(tmp_path, case)
+    out = tmp_path / "out"
+    embedding = {"backend": "hashing", "dim": 16, "cache": str(cache)}
+    assert main([command, "--config", str(write_config(corpus, out, embedding=embedding))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"backend error: stage '{named}': embedding cache {cache / 'embeddings.sqlite3'}: ")
+    assert not out.exists()
+
+
 BAD_SCHEMAS = {
     "column-key": (NOTES_SCHEMA.replace("kind: free_text", "kind: free_text, lable: Note"),
                    "'lable'"),

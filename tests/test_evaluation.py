@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from golden_fixture import golden_configs
-from tabtext.baseline import FeatureMatrix
+from tabtext.baseline import FeatureMatrix, SparseRows
 from tabtext.data_model import from_dict, to_dict
 from tabtext.errors import ValidationError
 from tabtext.evaluation import (
@@ -372,6 +372,27 @@ class TestActiveColumnFit:
         assert model.bias == bias
         assert model.scores(values, test).tobytes() == scores.tobytes()
         assert model.scores(values[test]).tobytes() == scores.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 64, 65, 200])
+    @pytest.mark.parametrize("through_rows", [True, False])
+    def test_fit_on_sparse_rows_is_the_fit_on_the_dense_array(self, width, through_rows):
+        rng = np.random.default_rng(width)
+        values = rng.normal(size=(150, width))
+        values[rng.random(values.shape) >= 0.05] = 0.0
+        values[::7, ::3] = -0.0
+        keys = np.flatnonzero((values != 0) | np.signbit(values))
+        sparse = SparseRows(values.shape, keys, values.reshape(-1)[keys])
+        y = rng.integers(0, 2, size=150)
+        y[:2] = [0, 1]
+        train = np.sort(rng.choice(150, size=110, replace=False)) if through_rows else None
+        test = np.setdiff1d(np.arange(150), train) if through_rows else None
+        y_train = y[train] if through_rows else y
+        want = fit_linear_classifier(values, y_train, train)
+        got = fit_linear_classifier(sparse, y_train, train)
+        for field in ("weights", "feature_mean", "feature_scale"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.bias == want.bias
+        assert got.scores(sparse, test).tobytes() == want.scores(values, test).tobytes()
 
     def test_huge_value_in_an_ignored_column_changes_no_score(self):
         X, y, T, _ = differential_case(5)

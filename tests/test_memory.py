@@ -2,8 +2,11 @@
 and evaluated through row indices, never copied at full width. tracemalloc
 counts numpy's buffers, so a list of per-entity rows stacked into the matrix,
 a copy of the training rows or a full-size boolean mask shows in the traced
-peak of the call. A parsed table shares one cell among the fields of each
-distinct text, and `compare` lets its parsed rows go before it evaluates."""
+peak of the call. The hashing embeddings are mostly zero, so the TabText
+matrix is held as its non-zero cells, well below the ``n x width x 8`` bytes
+of a dense copy; a backend of dense vectors keeps the dense array. A parsed
+table shares one cell among the fields of each distinct text, and `compare`
+lets its parsed rows go before it evaluates."""
 import gc
 import tracemalloc
 
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 import tabtext.pipeline
-from tabtext.baseline import FeatureMatrix
+from tabtext.baseline import FeatureMatrix, SparseRows
 from tabtext.data_model import Row, group_rows, load_schema, parse_table
 from tabtext.embedding import HashingBackend
 from tabtext.evaluation import SplitSpec, evaluate_features
@@ -19,6 +22,16 @@ from tabtext.formats import load_labels, read_features
 from tabtext.pipeline import RunConfig, SourceConfig, build_tabtext_features, run_compare
 from tabtext.serializer import CombineMode, SerializationConfig
 from tabtext.synthetic import CorpusSpec, generate
+
+SINGLE = SerializationConfig(combine_sources=CombineMode.SINGLE_PARAGRAPH)
+
+
+class DenseBackend(HashingBackend):
+    """Hashing vectors with 1 added to every cell, so that no cell is zero,
+    as a real encoder's are not."""
+
+    def embed_batch(self, texts):
+        return super().embed_batch(texts) + 1.0
 
 
 @pytest.fixture(scope="module")
@@ -54,29 +67,55 @@ def build(inputs, backend, ser_config=SerializationConfig()):
     return build_tabtext_features(sources, ids, labels, ser_config, backend)
 
 
+def dense_bytes(features):
+    """The bytes of the matrix of ``features`` held dense: n x width x 8."""
+    return len(features.entity_ids) * len(features.feature_names) * 8
+
+
 def test_building_features_holds_one_matrix(inputs):
     backend = HashingBackend()
     build(inputs, backend)  # warms the backend's token cache, which is kept
     features, peak = traced_peak(lambda: build(inputs, backend))
     assert features.values.shape == (400, 2 * backend.dim)
-    assert peak <= 1.25 * features.values.nbytes
+    assert isinstance(features.values, SparseRows)
+    assert peak <= 0.25 * dense_bytes(features)
 
 
 def test_single_paragraph_build_holds_one_matrix(inputs):
-    # Its blocks are summed into the matrix in place, not held side by side.
+    # Its blocks are summed into the buffer in place, not held side by side.
     backend = HashingBackend()
-    single = SerializationConfig(combine_sources=CombineMode.SINGLE_PARAGRAPH)
-    build(inputs, backend, single)
-    features, peak = traced_peak(lambda: build(inputs, backend, single))
+    build(inputs, backend, SINGLE)
+    features, peak = traced_peak(lambda: build(inputs, backend, SINGLE))
     assert features.values.shape == (400, backend.dim)
-    assert peak <= 1.25 * features.values.nbytes
+    assert isinstance(features.values, SparseRows)
+    assert peak <= 0.35 * dense_bytes(features)
+
+
+@pytest.mark.parametrize("ser_config", [SerializationConfig(), SINGLE], ids=["separate", "single"])
+def test_dense_vectors_build_one_dense_matrix(inputs, ser_config):
+    # The buffer that finds them dense is grown in place into the matrix.
+    backend = DenseBackend()
+    build(inputs, backend, ser_config)
+    features, peak = traced_peak(lambda: build(inputs, backend, ser_config))
+    assert isinstance(features.values, np.ndarray)
+    assert peak <= 1.1 * dense_bytes(features)
 
 
 def test_evaluating_features_copies_no_full_width_matrix(inputs):
     features = build(inputs, HashingBackend())
     evaluate_features(features, SplitSpec(seed=0))  # leaves out any first-call set-up
     _, peak = traced_peak(lambda: evaluate_features(features, SplitSpec(seed=0)))
-    assert peak <= 0.32 * features.values.nbytes
+    assert peak <= 0.32 * dense_bytes(features)
+
+
+def test_evaluating_dense_vectors_copies_no_full_width_matrix(inputs):
+    # Every column of this matrix varies, so the fit's float32 copy of the
+    # training rows alone is 0.8 x 0.5 of the dense bytes; a float64 copy of
+    # them would be 0.8.
+    features = build(inputs, DenseBackend())
+    evaluate_features(features, SplitSpec(seed=0))
+    _, peak = traced_peak(lambda: evaluate_features(features, SplitSpec(seed=0)))
+    assert peak <= 0.5 * dense_bytes(features)
 
 
 def test_reading_the_feature_csv_holds_one_matrix(inputs, tmp_path):
@@ -85,8 +124,8 @@ def test_reading_the_feature_csv_holds_one_matrix(inputs, tmp_path):
     features.to_csv(path)
     (ids, _, values, labels), peak = traced_peak(lambda: read_features(path))
     assert ids == features.entity_ids and labels.tolist() == features.labels.tolist()
-    assert values.tobytes() == features.values.tobytes()
-    assert peak <= 1.25 * values.nbytes
+    assert values.tobytes() == features.values[:].tobytes()
+    assert peak <= 1.25 * dense_bytes(features)
 
 
 def test_parsing_a_table_makes_one_cell_per_distinct_text(corpus):
