@@ -27,9 +27,6 @@ SERIES_STATS = ("mean", "min", "max", "variance", "average_change", "count")
 # Rows that assemble_rows fills at a time: an eighth of the matrix, kept
 # within these bounds.
 BUILD_ROWS = (32, 256)
-# A matrix whose dense array is smaller is held dense: a read of SparseRows
-# costs some twenty numpy calls, and its zeros would cost little.
-SPARSE_MIN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,12 +46,14 @@ class SparseRows:
     ``row * width + column`` of the cell that holds ``cells[k]``, so
     ``keys`` ascends.
 
-    It is read as a numpy array is read, by a key of rows, or of rows and
-    columns: each an int, a slice or an array of indices, columns ascending
-    (``np.ix_`` of the two too). Each read is a new C-ordered dense array
-    of the cells it selects, with the shape numpy gives the key (an outer
-    product for two 1-D arrays, as ``np.ix_`` gives), so a read makes the
-    whole matrix dense only when its key selects the whole."""
+    It is read by a key of rows, or of rows and columns, as a numpy array
+    is read, except that columns must ascend and two 1-D index arrays are
+    not paired: either raises IndexError, and ``np.ix_`` of the two reads
+    their outer product, as it does from numpy. Rows and columns are each
+    an int, a slice or an array of indices. Each read is a new C-ordered
+    dense array of the cells it selects, with the shape numpy gives the
+    key, so a read makes the whole matrix dense only when its key selects
+    the whole."""
 
     def __init__(self, shape: tuple[int, int], keys: np.ndarray, cells: np.ndarray):
         self.shape, self.keys, self.cells = shape, keys, cells
@@ -64,9 +63,13 @@ class SparseRows:
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        if np.ndim(rows) == np.ndim(cols) == 1:
+            raise IndexError("SparseRows does not pair two index arrays: read np.ix_ of them")
         rows, cols = np.arange(self.shape[0])[rows], np.arange(self.shape[1])[cols]
         shape = rows.shape[:1] + cols.shape[-1:]
         rows, cols = rows.reshape(-1), cols.reshape(-1)
+        if (cols[1:] <= cols[:-1]).any():
+            raise IndexError("SparseRows reads columns in ascending order only")
         out = np.zeros(len(rows) * len(cols))
         if out.size:
             # Each row's cells in the columns cols[0]..cols[-1] are one run of keys.
@@ -101,22 +104,17 @@ def assemble_rows(
 ) -> Matrix:
     """The ``(n, width)`` float64 matrix that ``fill(start, block)`` writes
     into zeroed rows ``block``, rows ``start`` on; ``fill`` keeps no view
-    of ``block``.
+    of ``block``, or the build raises numpy's ValueError.
 
-    A matrix of fewer than ``SPARSE_MIN_BYTES`` dense is one zero array,
-    filled in one call. Any other is filled one block of an eighth of its
-    rows (within ``BUILD_ROWS``) at a time in one buffer, and the non-zero
-    and -0.0 cells of each block are kept as SparseRows. When more than a
-    quarter of the cells so far are kept, so that they would take half the
-    bytes of a dense copy, the buffer is grown in place into the dense
-    matrix: the block moves to its rows, the cells kept so far are written
-    back, and the rows left are filled in place. So dense rows cost what a
-    dense array costs, and the cells kept before them.
+    The matrix is filled one block of an eighth of its rows (within
+    ``BUILD_ROWS``) at a time in one buffer, and the non-zero and -0.0
+    cells of each block are kept as SparseRows. When more than a quarter of
+    the cells so far are kept, so that they would take half the bytes of a
+    dense copy, the buffer is grown in place into the dense matrix: the
+    block moves to its rows, the cells kept so far are written back, and
+    the rows left are filled in place. So dense rows cost what a dense
+    array costs, and the cells kept before them.
     """
-    if 8 * n * width < SPARSE_MIN_BYTES:
-        values = np.zeros((n, width))
-        fill(0, values)
-        return values
     step = min(max(-(-n // 8), BUILD_ROWS[0]), BUILD_ROWS[1])
     buffer = np.zeros((min(step, n), width))
     parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -129,8 +127,9 @@ def assemble_rows(
         kept += len(at)
         if 4 * kept > (start + count) * width:
             del at
-            # No view of the buffer is left, so resize may realloc it; it zeroes the new rows.
-            buffer.resize((n, width), refcheck=False)
+            # resize may realloc the buffer, so it checks that no view of it
+            # is left; it zeroes the new rows.
+            buffer.resize((n, width))
             if start:  # move the block to its rows, which lie past it, and zero its old rows
                 buffer[start : start + count] = buffer[:count]
                 buffer[:count] = 0.0

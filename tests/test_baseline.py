@@ -3,7 +3,6 @@ import io
 import numpy as np
 import pytest
 
-import tabtext.baseline
 from tabtext.baseline import (
     BUILD_ROWS,
     FeatureMatrix,
@@ -406,6 +405,14 @@ class TestSparseRows:
         assert got.shape == want.shape and got.flags.c_contiguous and got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("key", [
+        (np.array([1, 2]), np.array([3, 4])), (slice(None), np.array([5, 2])),
+        (0, np.array([1, 1])), (slice(None), slice(None, None, -1)),
+    ], ids=repr)
+    def test_reads_numpy_would_read_otherwise_raise(self, dense, key):
+        with pytest.raises(IndexError):
+            sparse_rows(dense)[key]
+
     def test_iterates_rows(self, dense):
         sparse = sparse_rows(dense)
         assert len(sparse) == 40 and np.asarray(sparse).tobytes() == dense.tobytes()
@@ -418,12 +425,9 @@ class TestSparseRows:
 
     @pytest.mark.parametrize("n", [0, 1, BUILD_ROWS[0], BUILD_ROWS[0] + 1, 8 * BUILD_ROWS[1] + 3])
     @pytest.mark.parametrize("dense_from", [None, 0, 40, 600])
-    @pytest.mark.parametrize("min_bytes", [0, tabtext.baseline.SPARSE_MIN_BYTES])
-    def test_assembled_rows_are_the_rows_filled(self, dense, n, dense_from, min_bytes,
-                                                monkeypatch):
+    def test_assembled_rows_are_the_rows_filled(self, dense, n, dense_from):
         # Rows from ``dense_from`` on have no zero cell; the others are those
-        # of ``dense``, mostly zero. A matrix under min_bytes is held dense.
-        monkeypatch.setattr(tabtext.baseline, "SPARSE_MIN_BYTES", min_bytes)
+        # of ``dense``, mostly zero.
         want = np.tile(dense, (n // 40 + 1, 1))[:n]
         if dense_from is not None:
             want[dense_from:] += 1.0
@@ -435,14 +439,24 @@ class TestSparseRows:
             block[:] = want[start : start + len(block)]
 
         got = assemble_rows(n, 70, fill)
-        held_dense = dense_from is not None and dense_from < n or 8 * n * 70 < min_bytes
+        held_dense = dense_from is not None and dense_from < n
         assert isinstance(got, np.ndarray if held_dense else SparseRows)
         assert sum(blocks) == n
-        if 8 * n * 70 < min_bytes:
-            assert blocks == [n]
-        else:  # the rows left once they are found dense are filled in one call
-            assert max(blocks[: -1 if held_dense else None], default=0) <= BUILD_ROWS[1]
+        # the rows left once they are found dense are filled in one call
+        assert max(blocks[: -1 if held_dense else None], default=0) <= BUILD_ROWS[1]
         assert got[:].shape == (n, 70) and got[:].tobytes() == want.tobytes()
+
+    def test_fill_that_keeps_a_view_fails_the_build(self):
+        # Growing the buffer in place may move it, so a view that fill kept
+        # would read freed memory: the build raises instead.
+        kept = []
+
+        def fill(start, block):
+            kept.append(block)
+            block[:] = 1.0
+
+        with pytest.raises(ValueError, match="resize"):
+            assemble_rows(4 * BUILD_ROWS[0], 70, fill)
 
 
 class TestToCsvMatchesReference:
